@@ -35,9 +35,6 @@ class Bgp:
     def width(self) -> int:
         return len(self.edge_vars)
 
-    def node_index(self, name: str) -> int:
-        return self.node_vars.index(name)
-
     def edge_index(self, name: str) -> int:
         return self.edge_vars.index(name)
 
@@ -57,14 +54,6 @@ class Matching:
 
     def is_total(self, p: Bgp) -> bool:
         return None not in self.edges and None not in self.nodes
-
-    def bound_edge_vars(self, p: Bgp) -> tuple[str, ...]:
-        return tuple(y for y, e in zip(p.edge_vars, self.edges) if e is not None)
-
-    def as_dict(self, p: Bgp) -> dict[str, str]:
-        out = {y: e for y, e in zip(p.edge_vars, self.edges) if e is not None}
-        out.update({x: v for x, v in zip(p.node_vars, self.nodes) if v is not None})
-        return out
 
     def format_edges(self, p: Bgp) -> str:
         return " ".join(

@@ -76,6 +76,8 @@ def cmd_match(args) -> int:
         distinct_edges=args.distinct_edges,
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
+    if result.counters.warnings:
+        print("warning: order unverifiable against the automaton; ran unordered", file=sys.stderr)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         for line in _result_lines(p, result, wall_ms):
