@@ -6,16 +6,21 @@ Matching is homomorphic: distinct variables may bind the same graph element
 unless ``distinct_edges`` is requested.
 
 Matching is implemented as an edge-growing join in edge-variable
-declaration order, backed by the graph's endpoint hash indices.  The
-declaration order of the edge variables is also the canonical bit order
-used by letter bitsets everywhere else in the package.
+declaration order, backed by the graph's endpoint hash indices.  One
+backtracking step, ``_bind``, binds an edge variable for total, delta and
+partial matching alike.  The delta join is one pass over the union of old
+and new edges in which, while no new edge is bound, the last edge variable
+may bind only new edges.  The declaration order of the edge variables is
+also the canonical bit order used by letter bitsets everywhere else in the
+package.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DuplicateIdError, FormatError
 from .temporal_graph import TemporalGraph
@@ -39,8 +44,7 @@ class Bgp:
         return self.edge_vars.index(name)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A (possibly partial) assignment of pattern variables to graph elements.
 
     ``edges[j]`` binds the j-th edge variable in declaration order (``None``
@@ -162,51 +166,65 @@ def parse_bgp(text: str) -> Bgp:
 # Matching
 
 
-def _candidates(g: TemporalGraph, p: Bgp, binding: dict[str, str], y: str) -> Iterable[str]:
+def _bind(
+    g: TemporalGraph,
+    p: Bgp,
+    binding: dict[str, str],
+    edge_binding: dict[str, str],
+    used: set[str] | None,
+    y: str,
+    pool: set[str] | frozenset[str] | None,
+) -> Iterator[None]:
+    """Bind edge variable ``y`` to each fitting edge in turn.
+
+    Yields once per edge of ``pool`` (any edge when ``None``) that is not in
+    ``used`` and fits ``y``'s label and its endpoints, with ``y`` and its
+    fresh endpoints bound; they are unbound when the generator resumes.
+    ``used`` is ``None`` unless edges must be distinct, and then holds the
+    edges already bound.  This is the only code that binds an edge variable.
+    """
     a, b = p.rho[y]
-    va = binding.get(a, a if a in p.constants else None)
-    vb = binding.get(b, b if b in p.constants else None)
-    if va is not None and vb is not None:
-        return g.by_pair.get((va, vb), ())
+    va = a if a in p.constants else binding.get(a)
+    vb = b if b in p.constants else binding.get(b)
     if va is not None:
-        return g.by_src.get(va, ())
-    if vb is not None:
-        return g.by_dst.get(vb, ())
-    return g.edges.keys()
-
-
-def _try_bind(
-    g: TemporalGraph, p: Bgp, binding: dict[str, str], y: str, eid: str
-) -> list[str] | None:
-    """Check edge ``eid`` against slot ``y``; return newly bound node vars."""
-    e = g.edges[eid]
+        candidates = g.by_pair.get((va, vb), ()) if vb is not None else g.by_src.get(va, ())
+    elif vb is not None:
+        candidates = g.by_dst.get(vb, ())
+    else:
+        candidates = g.edges
+    fresh_a = va is None
+    fresh_b = vb is None and b != a  # a fresh self-loop binds its node once
+    loop = fresh_a and a == b
     want = p.labels.get(y)
-    if want is not None and e.label != want:
-        return None
-    a, b = p.rho[y]
-    added: list[str] = []
-    for end, vid in ((a, e.src), (b, e.dst)):
-        if end in p.constants:
-            if end != vid:
-                _undo(binding, added)
-                return None
-        elif end in binding:
-            if binding[end] != vid:
-                _undo(binding, added)
-                return None
-        else:
-            want_node = p.labels.get(end)
-            if want_node is not None and g.nodes[vid] != want_node:
-                _undo(binding, added)
-                return None
-            binding[end] = vid
-            added.append(end)
-    return added
-
-
-def _undo(binding: dict[str, str], added: list[str]) -> None:
-    for name in added:
-        del binding[name]
+    want_a = p.labels.get(a) if fresh_a else None
+    want_b = p.labels.get(b) if fresh_b else None
+    edges, nodes = g.edges, g.nodes
+    for eid in candidates:
+        if (pool is not None and eid not in pool) or (used is not None and eid in used):
+            continue
+        e = edges[eid]
+        if (
+            (want is not None and e.label != want)
+            or (loop and e.src != e.dst)
+            or (want_a is not None and nodes[e.src] != want_a)
+            or (want_b is not None and nodes[e.dst] != want_b)
+        ):
+            continue
+        if fresh_a:
+            binding[a] = e.src
+        if fresh_b:
+            binding[b] = e.dst
+        edge_binding[y] = eid
+        if used is not None:
+            used.add(eid)
+        yield
+        if used is not None:
+            used.discard(eid)
+        del edge_binding[y]
+        if fresh_a:
+            del binding[a]
+        if fresh_b:
+            del binding[b]
 
 
 def _freeze(p: Bgp, binding: dict[str, str], edge_binding: dict[str, str]) -> Matching:
@@ -214,6 +232,50 @@ def _freeze(p: Bgp, binding: dict[str, str], edge_binding: dict[str, str]) -> Ma
         tuple(edge_binding.get(y) for y in p.edge_vars),
         tuple(binding.get(x) for x in p.node_vars),
     )
+
+
+def _total(
+    g: TemporalGraph,
+    p: Bgp,
+    pools: Sequence[set[str] | frozenset[str] | None],
+    distinct_edges: bool,
+    touch: set[str] | None = None,
+) -> list[Matching]:
+    """Sorted total matchings, slot ``j`` drawn from ``pools[j]``.
+
+    With ``touch``, only matchings binding at least one edge of ``touch``:
+    while no such edge is bound, the last slot may take only those edges.
+    """
+    for c in p.constants:
+        if c not in g.nodes:
+            return []
+    # Isolated node variables (no incident edge variable) range over every
+    # label-compatible node.  No edge variable reads them, so each result
+    # simply overwrites them.
+    isolated = [x for x in p.node_vars if not any(x in p.rho[y] for y in p.edge_vars)]
+    fills = list(product(*(
+        [v for v, label in g.nodes.items() if p.labels.get(x) in (None, label)] for x in isolated
+    )))
+    results: list[Matching] = []
+    binding: dict[str, str] = {}
+    edge_binding: dict[str, str] = {}
+    used: set[str] | None = set() if distinct_edges else None
+    last = len(p.edge_vars) - 1
+
+    def grow(j: int, touched: bool) -> None:
+        if j > last:
+            for fill in fills:
+                binding.update(zip(isolated, fill))
+                results.append(_freeze(p, binding, edge_binding))
+            return
+        y = p.edge_vars[j]
+        pool = touch if j == last and not touched else pools[j]
+        for _ in _bind(g, p, binding, edge_binding, used, y, pool):
+            grow(j + 1, touched or edge_binding[y] in touch)
+
+    grow(0, touch is None)
+    results.sort(key=lambda m: (m.edges, m.nodes))
+    return results
 
 
 def match_total(
@@ -230,62 +292,11 @@ def match_total(
     Output is sorted by bound edge ids in declaration order, then by node
     bindings, so results are reproducible.
     """
-    for c in p.constants:
-        if c not in g.nodes:
-            return []
-    pool_sets = None
-    if pools is not None:
-        pool_sets = [None if x is None else (x if isinstance(x, (set, frozenset)) else set(x)) for x in pools]
-
-    results: list[Matching] = []
-    binding: dict[str, str] = {}
-    edge_binding: dict[str, str] = {}
-    used: set[str] = set()
-
-    def grow(j: int) -> None:
-        if j == len(p.edge_vars):
-            # Isolated node variables (no incident edge variable) range
-            # over every label-compatible node.
-            free = [x for x in p.node_vars if x not in binding]
-            if not free:
-                results.append(_freeze(p, binding, edge_binding))
-                return
-            def fill(i: int) -> None:
-                if i == len(free):
-                    results.append(_freeze(p, binding, edge_binding))
-                    return
-                x = free[i]
-                want = p.labels.get(x)
-                for vid, label in g.nodes.items():
-                    if want is not None and label != want:
-                        continue
-                    binding[x] = vid
-                    fill(i + 1)
-                    del binding[x]
-            fill(0)
-            return
-        y = p.edge_vars[j]
-        pool = pool_sets[j] if pool_sets is not None else None
-        for eid in _candidates(g, p, binding, y):
-            if pool is not None and eid not in pool:
-                continue
-            if distinct_edges and eid in used:
-                continue
-            added = _try_bind(g, p, binding, y, eid)
-            if added is None:
-                continue
-            edge_binding[y] = eid
-            if distinct_edges:
-                used.add(eid)
-            grow(j + 1)
-            if distinct_edges:
-                used.discard(eid)
-            del edge_binding[y]
-            _undo(binding, added)
-
-    grow(0)
-    results.sort(key=lambda m: (m.edges, m.nodes))
-    return results
+    if pools is None:
+        pools = [None] * len(p.edge_vars)
+    else:
+        pools = [None if x is None else (x if isinstance(x, (set, frozenset)) else set(x)) for x in pools]
+    return _total(g, p, pools, distinct_edges)
 
 
 def delta_match(
@@ -299,30 +310,17 @@ def delta_match(
     """Total matchings over ``old ∪ new`` that use at least one new edge.
 
     Equivalent to ``match_total`` over the union minus ``match_total`` over
-    the old history, computed without rescanning old-only matchings: slot
-    ``j`` is successively forced into the new edges while earlier slots
-    stay in the old history and later slots range over the union.
+    the old history, computed in one join over the union: while no new edge
+    is bound, the last edge variable may bind only new edges, so no old-only
+    matching is completed.
     """
     old = set(old_history)
     new = set(new_edges)
     if old & new:
         raise FormatError("new_edges must be disjoint from old_history")
-    if not new:
+    if not new or not p.edge_vars:
         return []
-    union = old | new
-    out: list[Matching] = []
-    for j in range(len(p.edge_vars)):
-        pools: list[set[str] | None] = []
-        for i in range(len(p.edge_vars)):
-            if i < j:
-                pools.append(old)
-            elif i == j:
-                pools.append(new)
-            else:
-                pools.append(union)
-        out.extend(match_total(g, p, distinct_edges=distinct_edges, pools=pools))
-    out.sort(key=lambda m: (m.edges, m.nodes))
-    return out
+    return _total(g, p, [old | new] * len(p.edge_vars), distinct_edges, new)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +346,7 @@ def _extensions(
     """
     binding = {x: v for x, v in zip(p.node_vars, base.nodes) if v is not None}
     edge_binding = {y: e for y, e in zip(p.edge_vars, base.edges) if e is not None}
-    used = set(edge_binding.values())
+    used = set(edge_binding.values()) if distinct_edges else None
     out: list[Matching] = []
 
     if order is not None:
@@ -377,22 +375,8 @@ def _extensions(
                 out.append(_freeze(p, binding, edge_binding))
         else:
             grow(i + 1, bound_any)
-        for eid in _candidates(g, p, binding, y):
-            if eid not in pool:
-                continue
-            if distinct_edges and eid in used:
-                continue
-            added = _try_bind(g, p, binding, y, eid)
-            if added is None:
-                continue
-            edge_binding[y] = eid
-            if distinct_edges:
-                used.add(eid)
+        for _ in _bind(g, p, binding, edge_binding, used, y, pool):
             grow(i + 1, True)
-            if distinct_edges:
-                used.discard(eid)
-            del edge_binding[y]
-            _undo(binding, added)
 
     grow(0, False)
     return out
@@ -458,17 +442,9 @@ def _one_step_extendable(
     g: TemporalGraph, p: Bgp, m: Matching, pool: set[str], distinct_edges: bool
 ) -> bool:
     binding = {x: v for x, v in zip(p.node_vars, m.nodes) if v is not None}
-    used = {e for e in m.edges if e is not None}
+    used = {e for e in m.edges if e is not None} if distinct_edges else None
     for y, bound in zip(p.edge_vars, m.edges):
-        if bound is not None:
-            continue
-        for eid in _candidates(g, p, binding, y):
-            if eid not in pool:
-                continue
-            if distinct_edges and eid in used:
-                continue
-            added = _try_bind(g, p, binding, y, eid)
-            if added is not None:
-                _undo(binding, added)
+        if bound is None:
+            for _ in _bind(g, p, binding, {}, used, y, pool):
                 return True
     return False

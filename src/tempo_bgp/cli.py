@@ -25,6 +25,7 @@ from .errors import (
 )
 from .temporal_graph import format_time, load_graph_dir, write_graph_dir
 from .timed_automaton import (
+    Compatibility,
     is_compatible_order,
     is_connected_order,
     order_indices,
@@ -117,7 +118,7 @@ def cmd_check_order(args) -> int:
 
         for perm in permutations(p.edge_vars):
             if is_connected_order(p, perm) and (
-                is_compatible_order(ta, order_indices(p, perm)).value == "Compatible"
+                is_compatible_order(ta, order_indices(p, perm)) is Compatibility.COMPATIBLE
             ):
                 print(",".join(perm))
                 return EXIT_OK

@@ -233,18 +233,12 @@ def classify_states(ta: TimedAutomaton) -> tuple[frozenset[int], frozenset[int]]
                     stack.append(r)
         reach[s] = seen
 
-    def letter_total(state: int) -> bool:
-        free = [
-            _pattern_mask_value(tr.pattern)
-            for tr in ta.transitions
-            if tr.src == state and not tr.guard
-        ]
-        return all(
-            any(letter & mask == value for mask, value in free)
-            for letter in range(1 << ta.width)
+    total_cache = {
+        s: _covers_all_letters(
+            [_pattern_mask_value(tr.pattern) for tr in ta.transitions if tr.src == s and not tr.guard]
         )
-
-    total_cache = {s: letter_total(s) for s in range(ta.n_states)}
+        for s in range(ta.n_states)
+    }
     early_accept = frozenset(
         s
         for s in range(ta.n_states)
@@ -254,6 +248,27 @@ def classify_states(ta: TimedAutomaton) -> tuple[frozenset[int], frozenset[int]]
         s for s in range(ta.n_states) if not (reach[s] & ta.accepting)
     )
     return early_accept, early_reject
+
+
+def _covers_all_letters(cubes: list[tuple[int, int]]) -> bool:
+    """Whether the (mask, value) cubes together match every letter.
+
+    Splits on one cared bit at a time instead of enumerating letters: a
+    cube with no cared bit left matches everything, and no cube matches
+    nothing.
+    """
+    if not cubes:
+        return False
+    for mask, _value in cubes:
+        if not mask:
+            return True
+    bit = cubes[0][0] & -cubes[0][0]
+    return all(
+        _covers_all_letters(
+            [(m & ~bit, v & ~bit) for m, v in cubes if not m & bit or v & bit == side]
+        )
+        for side in (0, bit)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,34 +437,30 @@ def is_compatible_order(ta: TimedAutomaton, order: Sequence[int]) -> Compatibili
     """
     if sorted(order) != list(range(ta.width)):
         raise FormatError(f"order {order!r} is not a permutation of 0..{ta.width - 1}")
-    letters = range(1 << ta.width)
+    cubes: dict[int, set[tuple[int, int, int]]] = {s: set() for s in range(ta.n_states)}
+    for tr in ta.transitions:
+        cubes[tr.src].add((*_pattern_mask_value(tr.pattern), tr.dst))
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
             nfa = _first_appearance_nfa(order[i], order[j])
             start = (ta.initial, 0)
             seen = {start}
             stack = [start]
-            nonempty = False
-            while stack and not nonempty:
+            while stack:
                 s_ta, s_nfa = stack.pop()
-                for letter in letters:
-                    ta_next = {tr.dst for tr in ta.transitions_from(s_ta, letter)}
-                    if not ta_next:
-                        continue
-                    nfa_next = {
-                        nxt
-                        for (src, mask, value, nxt) in nfa
-                        if src == s_nfa and letter & mask == value
-                    }
-                    for q in ta_next:
-                        for r in nfa_next:
-                            if q in ta.accepting and r == 2:
-                                nonempty = True
-                            if (q, r) not in seen:
-                                seen.add((q, r))
-                                stack.append((q, r))
-            if nonempty:
-                return Compatibility.UNKNOWN if ta.n_clocks else Compatibility.INCOMPATIBLE
+                for m1, v1, q in cubes[s_ta]:
+                    for src, m2, v2, r in nfa:
+                        # The two cubes share a letter when they agree on
+                        # every bit both care about.
+                        if src != s_nfa or (v1 ^ v2) & m1 & m2:
+                            continue
+                        if q in ta.accepting and r == 2:
+                            if ta.n_clocks:
+                                return Compatibility.UNKNOWN
+                            return Compatibility.INCOMPATIBLE
+                        if (q, r) not in seen:
+                            seen.add((q, r))
+                            stack.append((q, r))
     return Compatibility.COMPATIBLE
 
 

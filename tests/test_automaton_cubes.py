@@ -1,0 +1,162 @@
+"""The cube-based automaton analyses against letter-enumerating references.
+
+``classify_states`` and ``is_compatible_order`` reason over transition
+cubes instead of the ``2^width`` letters; the references below enumerate
+letters and so only run at small widths.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+
+import pytest
+
+from tempo_bgp import Compatibility, classify_states, is_compatible_order
+from tempo_bgp.fixtures import TA_WIDTHS, load_ta
+from tempo_bgp.rng import SplitMix64
+from tempo_bgp.timed_automaton import (
+    TimedAutomaton,
+    Transition,
+    _first_appearance_nfa,
+    _pattern_mask_value,
+)
+from tempo_bgp.workbench import ring_automaton
+
+
+def reference_classify(ta: TimedAutomaton):
+    succ = {s: {tr.dst for tr in ta.transitions if tr.src == s} for s in range(ta.n_states)}
+    reach = {}
+    for s in range(ta.n_states):
+        seen, stack = {s}, [s]
+        while stack:
+            for r in succ[stack.pop()] - seen:
+                seen.add(r)
+                stack.append(r)
+        reach[s] = seen
+
+    def letter_total(state):
+        free = [
+            _pattern_mask_value(tr.pattern)
+            for tr in ta.transitions
+            if tr.src == state and not tr.guard
+        ]
+        return all(
+            any(letter & mask == value for mask, value in free) for letter in range(1 << ta.width)
+        )
+
+    total = {s: letter_total(s) for s in range(ta.n_states)}
+    early_accept = frozenset(
+        s for s in range(ta.n_states) if all(q in ta.accepting and total[q] for q in reach[s])
+    )
+    early_reject = frozenset(s for s in range(ta.n_states) if not reach[s] & ta.accepting)
+    return early_accept, early_reject
+
+
+def reference_compatible(ta: TimedAutomaton, order) -> Compatibility:
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            nfa = _first_appearance_nfa(order[i], order[j])
+            start = (ta.initial, 0)
+            seen, stack = {start}, [start]
+            while stack:
+                s_ta, s_nfa = stack.pop()
+                for letter in range(1 << ta.width):
+                    for tr in ta.transitions_from(s_ta, letter):
+                        for src, mask, value, r in nfa:
+                            if src != s_nfa or letter & mask != value:
+                                continue
+                            if tr.dst in ta.accepting and r == 2:
+                                if ta.n_clocks:
+                                    return Compatibility.UNKNOWN
+                                return Compatibility.INCOMPATIBLE
+                            if (tr.dst, r) not in seen:
+                                seen.add((tr.dst, r))
+                                stack.append((tr.dst, r))
+    return Compatibility.COMPATIBLE
+
+
+def random_pattern(rng: SplitMix64, width: int) -> str:
+    return "".join(rng.choice("01**") for _ in range(width))
+
+
+def random_automaton(seed: int) -> TimedAutomaton:
+    rng = SplitMix64(seed)
+    n_states = rng.randint(1, 4)
+    width = rng.randint(1, 4)
+    n_clocks = rng.randint(0, 1)
+    transitions = []
+    for _ in range(rng.randint(1, 8)):
+        guard = ((0, "<", 2.0),) if n_clocks and rng.random() < 0.3 else ()
+        transitions.append(
+            Transition(
+                rng.randint(0, n_states - 1),
+                random_pattern(rng, width),
+                guard,
+                (),
+                rng.randint(0, n_states - 1),
+            )
+        )
+    accepting = {s for s in range(n_states) if rng.random() < 0.5} or {n_states - 1}
+    initial = rng.randint(0, n_states - 1)
+    return TimedAutomaton(n_states, initial, accepting, n_clocks, width, transitions)
+
+
+def automata():
+    for name in TA_WIDTHS:
+        yield name, load_ta(name)
+    for m in range(1, 6):
+        yield f"ring{m}", ring_automaton(m)
+        yield f"ring{m}x2c1", ring_automaton(m, laps=2, n_clocks=1)
+    for seed in range(400):
+        yield f"random{seed}", random_automaton(seed)
+
+
+def orders(width: int, rng: SplitMix64):
+    if width <= 4:
+        return list(permutations(range(width)))
+    shuffled = list(range(width))
+    for i in range(width - 1, 0, -1):
+        k = rng.randint(0, i)
+        shuffled[i], shuffled[k] = shuffled[k], shuffled[i]
+    return [tuple(range(width)), tuple(reversed(range(width))), tuple(shuffled)]
+
+
+def test_classify_states_agrees_with_letter_enumeration():
+    for name, ta in automata():
+        assert classify_states(ta) == reference_classify(ta), name
+
+
+def test_compatible_order_agrees_with_letter_enumeration():
+    rng = SplitMix64(7)
+    verdicts = set()
+    for name, ta in automata():
+        for order in orders(ta.width, rng):
+            got = is_compatible_order(ta, order)
+            assert got is reference_compatible(ta, order), (name, order)
+            verdicts.add(got)
+    assert verdicts == set(Compatibility)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_letter_totality_of_random_cube_sets(seed):
+    # One accepting state whose guard-free self-loops are a random cube set:
+    # it is early-accept exactly when the cubes cover every letter.
+    rng = SplitMix64(1000 + seed)
+    for _ in range(50):
+        width = rng.randint(1, 6)
+        loops = [
+            Transition(0, random_pattern(rng, width), (), (), 0) for _ in range(rng.randint(1, 6))
+        ]
+        ta = TimedAutomaton(1, 0, [0], 0, width, loops)
+        assert ta.early_accept == reference_classify(ta)[0]
+
+
+def test_width_24_automata_construct_and_answer():
+    wide = 24
+    anything = TimedAutomaton(1, 0, [0], 0, wide, [Transition(0, "*" * wide, (), (), 0)])
+    assert anything.early_accept == {0}
+    assert is_compatible_order(anything, list(range(wide))) is Compatibility.INCOMPATIBLE
+    ring = ring_automaton(wide)
+    assert ring.early_accept == frozenset()
+    assert is_compatible_order(ring, list(range(wide))) is Compatibility.COMPATIBLE
+    assert is_compatible_order(ring, list(reversed(range(wide)))) is Compatibility.INCOMPATIBLE

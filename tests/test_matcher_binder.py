@@ -1,0 +1,98 @@
+"""Differential tests of the matcher on self-loops, isolated node variables,
+constants, labels and distinct edges, against the brute-force oracle."""
+
+from __future__ import annotations
+
+import pytest
+
+from tempo_bgp import (
+    build_graph,
+    delta_match,
+    history_upto,
+    match_partial_maximal,
+    match_total,
+    oracle_match,
+    oracle_maximal_partials,
+    parse_bgp,
+)
+from tempo_bgp.rng import SplitMix64
+
+PATTERNS = {
+    "self_loop": "node x\nnode z\nedge y1 : x -> x\nedge y2 : x -> z\n",
+    "labelled_self_loops": "node x : n\nedge y1 : x -> x : s\nedge y2 : x -> x\n",
+    "isolated_labelled_node": "node x1\nnode x2\nnode w : m\nedge y1 : x1 -> x2\n",
+    "constants": "const v0\nconst v1\nnode x\nedge y1 : v0 -> x\nedge y2 : x -> v1\n",
+    "constant_self_loop": (
+        "const v0\nnode x\nedge y1 : v0 -> x\nedge y2 : x -> x\nedge y3 : x -> v0\n"
+    ),
+    "labels": "node x1 : n\nnode x2\nnode x3 : m\nedge y1 : x1 -> x2 : e\nedge y2 : x2 -> x3\n",
+}
+
+
+def looped_graph(seed: int):
+    """Small random multigraph with self-loops, two node and two edge labels."""
+    rng = SplitMix64(seed)
+    n = rng.randint(2, 5)
+    nodes = {f"v{i}": ("n", "m")[rng.randint(0, 1)] for i in range(n)}
+    n_times = rng.randint(1, 4)
+    edges = {}
+    active = {}
+    for i in range(rng.randint(1, 8)):
+        u, v = rng.randint(0, n - 1), rng.randint(0, n - 1)
+        if rng.random() < 0.3:
+            v = u
+        edges[f"e{i}"] = (f"v{u}", f"v{v}", ("e", "s")[rng.randint(0, 1)])
+        active[f"e{i}"] = [float(rng.randint(1, n_times))]
+    return build_graph(nodes, edges, active)
+
+
+SEEDS = range(12)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_match_total_agrees_with_oracle(name, distinct):
+    p = parse_bgp(PATTERNS[name])
+    for seed in SEEDS:
+        g = looped_graph(seed)
+        assert match_total(g, p, distinct_edges=distinct) == oracle_match(
+            g, p, distinct_edges=distinct
+        ), seed
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_delta_match_telescopes_to_match_total(name, distinct):
+    p = parse_bgp(PATTERNS[name])
+    for seed in SEEDS:
+        g = looped_graph(seed)
+        acc = []
+        hist: frozenset[str] = frozenset()
+        for i in range(1, len(g.domain) + 1):
+            new = history_upto(g, i) - hist
+            batch = delta_match(g, p, hist, new, distinct_edges=distinct)
+            assert batch == sorted(batch, key=lambda m: (m.edges, m.nodes)), seed
+            assert all(any(e in new for e in m.edges) for m in batch), seed
+            acc.extend(batch)
+            hist = history_upto(g, i)
+            assert sorted(acc, key=lambda m: (m.edges, m.nodes)) == match_total(
+                g, p, distinct_edges=distinct, pools=[hist] * len(p.edge_vars)
+            ), (seed, i)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_maximal_partials_agree_with_oracle(name, distinct):
+    p = parse_bgp(PATTERNS[name])
+    for seed in SEEDS:
+        g = looped_graph(seed)
+        for i in (1, len(g.domain)):
+            hist = history_upto(g, i)
+            assert match_partial_maximal(g, p, hist, distinct_edges=distinct) == (
+                oracle_maximal_partials(g, p, hist, distinct_edges=distinct)
+            ), (seed, i)
+
+
+def test_graphs_have_self_loop_matchings():
+    p = parse_bgp(PATTERNS["self_loop"])
+    assert any(match_total(looped_graph(seed), p) for seed in SEEDS)
