@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DuplicateIdError, FormatError
 from .temporal_graph import TemporalGraph
@@ -50,13 +50,13 @@ class Matching(NamedTuple):
     ``edges[j]`` binds the j-th edge variable in declaration order (``None``
     when unbound); ``nodes`` likewise for node variables.  Node variables
     are bound exactly when forced by a bound incident edge variable, except
-    for isolated node variables in total matchings.
+    for isolated node variables, which are bound once every edge variable is.
     """
 
     edges: tuple[str | None, ...]
     nodes: tuple[str | None, ...]
 
-    def is_total(self, p: Bgp) -> bool:
+    def is_total(self) -> bool:
         return None not in self.edges and None not in self.nodes
 
     def format_edges(self, p: Bgp) -> str:
@@ -234,6 +234,36 @@ def _freeze(p: Bgp, binding: dict[str, str], edge_binding: dict[str, str]) -> Ma
     )
 
 
+def isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matching]] | None:
+    """The fill of isolated node variables, ``None`` when the pattern has none.
+
+    Isolated node variables (no incident edge variable) range over every
+    label-compatible node, and no edge variable reads them.  The fill maps a
+    matching binding every edge variable to one matching per assignment of
+    them; any other matching maps to itself alone.
+    """
+    slots = [i for i, x in enumerate(p.node_vars) if not any(x in p.rho[y] for y in p.edge_vars)]
+    if not slots:
+        return None
+    assignments = list(product(*(
+        [v for v, label in g.nodes.items() if p.labels.get(p.node_vars[i]) in (None, label)]
+        for i in slots
+    )))
+
+    def fill(m: Matching) -> list[Matching]:
+        if None in m.edges:
+            return [m]
+        nodes = list(m.nodes)
+        out = []
+        for values in assignments:
+            for i, v in zip(slots, values):
+                nodes[i] = v
+            out.append(Matching(m.edges, tuple(nodes)))
+        return out
+
+    return fill
+
+
 def _total(
     g: TemporalGraph,
     p: Bgp,
@@ -249,13 +279,6 @@ def _total(
     for c in p.constants:
         if c not in g.nodes:
             return []
-    # Isolated node variables (no incident edge variable) range over every
-    # label-compatible node.  No edge variable reads them, so each result
-    # simply overwrites them.
-    isolated = [x for x in p.node_vars if not any(x in p.rho[y] for y in p.edge_vars)]
-    fills = list(product(*(
-        [v for v, label in g.nodes.items() if p.labels.get(x) in (None, label)] for x in isolated
-    )))
     results: list[Matching] = []
     binding: dict[str, str] = {}
     edge_binding: dict[str, str] = {}
@@ -264,9 +287,7 @@ def _total(
 
     def grow(j: int, touched: bool) -> None:
         if j > last:
-            for fill in fills:
-                binding.update(zip(isolated, fill))
-                results.append(_freeze(p, binding, edge_binding))
+            results.append(_freeze(p, binding, edge_binding))
             return
         y = p.edge_vars[j]
         pool = touch if j == last and not touched else pools[j]
@@ -274,6 +295,9 @@ def _total(
             grow(j + 1, touched or edge_binding[y] in touch)
 
     grow(0, touch is None)
+    fill = isolated_fill(g, p)
+    if fill is not None:
+        results = [f for m in results for f in fill(m)]
     results.sort(key=lambda m: (m.edges, m.nodes))
     return results
 

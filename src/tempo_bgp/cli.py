@@ -157,6 +157,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise FormatError(f"--repeat must be at least 1, got {args.repeat}")
     g, p, ta = _load_inputs(args)
     order = _parse_order(args.order, p) if args.order else None
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]

@@ -16,7 +16,8 @@ end-of-stream acceptance; the engines differ only in how rows enter:
   live configurations from the row they extend and nothing is replayed.
   Extensions only bind edges first seen in the current snapshot; older
   combinations arise transitively through surviving rows, and a dropped
-  row takes all its unseen extensions with it.
+  row takes all its unseen extensions with it.  A row that comes to bind
+  every edge variable enters once per fill of its isolated node variables.
 
 Rows are dropped once their configurations empty or only early-reject
 states remain; total matchings touching an early-accept state are emitted
@@ -40,6 +41,7 @@ from .bgp import (
     delta_match,
     empty_matching,
     extend,
+    isolated_fill,
     match_total,
 )
 from .errors import FormatError, OrderIncompatible, OrderNotConnected, ReferentialError
@@ -147,15 +149,15 @@ def _letter_bits(edges: Sequence[str | None], snap: frozenset[str]) -> int:
 class _Core:
     """The stepping core: entry rule, one-letter tick, replay, end of stream.
 
-    ``p`` is given when the table may hold partial matchings, which are
+    ``partial`` is set when the table may hold partial matchings, which are
     never accepted; a table of total matchings needs no such test.
     """
 
-    def __init__(self, ta, early_exit, trace, *, p=None, counters=None):
+    def __init__(self, ta, early_exit, trace, *, partial=False, counters=None):
         self.ta = ta
         self.early_exit = early_exit
         self.trace = trace
-        self.p = p
+        self.partial = partial
         self.counters = Counters() if counters is None else counters
         self.accepted: dict[Matching, float] = {}
         # every new row shares this set; step never mutates its input
@@ -175,8 +177,8 @@ class _Core:
 
     def tick(self, table, snap, t):
         """Advance every row one letter; returns the surviving table."""
-        ta, counters, accepted, trace, p = self.ta, self.counters, self.accepted, self.trace, self.p
-        early_exit = self.early_exit
+        ta, counters, accepted, trace = self.ta, self.counters, self.accepted, self.trace
+        early_exit, partial = self.early_exit, self.partial
         nxt_table: dict[Matching, set[Config]] = {}
         for m, configs in table.items():
             bits = _letter_bits(m.edges, snap)
@@ -184,7 +186,7 @@ class _Core:
             nxt = step(ta, configs, bits, t)
             status = "alive"
             if early_exit and nxt:
-                if (p is None or m.is_total(p)) and any(s in ta.early_accept for s, _ in nxt):
+                if (not partial or m.is_total()) and any(s in ta.early_accept for s, _ in nxt):
                     accepted[m] = t
                     status = "accepted"
                 elif ta.early_reject:
@@ -214,9 +216,9 @@ class _Core:
 
     def finish(self, table, t: float) -> EngineResult:
         """End of stream: rows holding an accepting configuration are accepted at ``t``."""
-        accepting, p, accepted = self.ta.accepting, self.p, self.accepted
+        accepting, partial, accepted = self.ta.accepting, self.partial, self.accepted
         for m, configs in table.items():
-            if (p is None or m.is_total(p)) and any(s in accepting for s, _ in configs):
+            if (not partial or m.is_total()) and any(s in accepting for s, _ in configs):
                 accepted[m] = t
         items = sorted(
             accepted.items(),
@@ -366,7 +368,7 @@ def run_partial_match(
     """
     _check_width(p, ta)
     _check_streamable(p)
-    core = _Core(ta, early_exit, trace, p=p)
+    core = _Core(ta, early_exit, trace, partial=True)
     if order is not None:
         order = tuple(order)
         if not is_connected_order(p, order):
@@ -381,6 +383,7 @@ def run_partial_match(
     table: dict[Matching, frozenset[Config] | set[Config]] = {empty_matching(p): core.seed}
     if trace is not None:
         trace.add_row(0.0, empty_matching(p), 0, core.seed, "alive")
+    fill = isolated_fill(g, p)
     history: set[str] = set()
     t = 0.0
     for t, snap, new_edges in _snapshots(g, stream, history):
@@ -388,11 +391,17 @@ def run_partial_match(
             pairs = extend(
                 g, p, list(table), new_edges, history, order=order, distinct_edges=distinct_edges
             )
+            # no two pairs give the same new row (an extension's older edges
+            # are exactly its source row's), and step never mutates a set,
+            # so rows share their source's configurations
             rewritten: dict[Matching, set[Config]] = {}
             for old, new in pairs:
-                if new != old:
+                if new == old:
+                    rewritten[new] = table[old]
+                    continue
+                for m in (new,) if fill is None else fill(new):
                     core.counters.generated += 1
-                rewritten.setdefault(new, set()).update(table[old])
+                    rewritten[m] = table[old]
             table = rewritten
         table = core.tick(table, snap, t)
     return core.finish(table, t)

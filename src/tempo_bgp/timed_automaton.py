@@ -8,6 +8,11 @@ at the current timepoint.  Transitions carry a letter pattern over
 reset.  Clocks are stored lazily as the time of their last reset; the
 value of clock ``c`` at time ``t`` is ``t - last_reset[c]``.
 
+Each pattern is compiled once, at construction, into a ``(mask, value)``
+cube grouped by source state.  Discrete moves are read from one move
+table, ``(state, letter) -> transitions``, filled on first use, so wide
+automata never enumerate their letters.
+
 Letter predicates that are not a single cube (XOR and friends) are spelled
 as several transition rows, one per pattern, exactly as in the relational
 encoding of the automaton.
@@ -15,6 +20,7 @@ encoding of the automaton.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -26,12 +32,7 @@ from .errors import FormatError
 Config = tuple[int, tuple[float, ...]]
 GuardAtom = tuple[int, str, float]
 
-_OPS = {
-    "<": lambda v, b: v < b,
-    "<=": lambda v, b: v <= b,
-    ">": lambda v, b: v > b,
-    ">=": lambda v, b: v >= b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,12 @@ class TimedAutomaton:
         self.transitions = tuple(transitions)
         self._validate()
 
-        self._exact: dict[tuple[int, int], list[Transition]] = {}
-        self._wild: dict[int, list[tuple[int, int, Transition]]] = {}
+        # per source state, each transition with its pattern's (mask, value) cube
+        self._cubes: list[list[tuple[int, int, Transition]]] = [[] for _ in range(n_states)]
         for tr in self.transitions:
-            if "*" in tr.pattern:
-                mask, value = _pattern_mask_value(tr.pattern)
-                self._wild.setdefault(tr.src, []).append((mask, value, tr))
-            else:
-                bits = _pattern_mask_value(tr.pattern)[1]
-                self._exact.setdefault((tr.src, bits), []).append(tr)
+            self._cubes[tr.src].append((*_pattern_mask_value(tr.pattern), tr))
+        # the move table, filled by transitions_from
+        self._moves: dict[tuple[int, int], tuple[Transition, ...]] = {}
 
         self.early_accept, self.early_reject = classify_states(self)
         self.dead_start = self._detect_dead_start()
@@ -141,12 +139,13 @@ class TimedAutomaton:
                 if not 0 <= clock < self.n_clocks:
                     raise FormatError(f"reset references unknown clock {clock}")
 
-    def transitions_from(self, state: int, letter: int) -> list[Transition]:
-        out = list(self._exact.get((state, letter), ()))
-        for mask, value, tr in self._wild.get(state, ()):
-            if letter & mask == value:
-                out.append(tr)
-        return out
+    def transitions_from(self, state: int, letter: int) -> tuple[Transition, ...]:
+        """The transitions ``state`` enables on ``letter``, in declaration order."""
+        moves = self._moves.get((state, letter))
+        if moves is None:
+            moves = tuple(tr for mask, value, tr in self._cubes[state] if letter & mask == value)
+            self._moves[state, letter] = moves
+        return moves
 
     def initial_config(self) -> Config:
         return (self.initial, (0.0,) * self.n_clocks)
@@ -158,9 +157,6 @@ class TimedAutomaton:
         )
 
 
-_NO_TRANSITIONS: tuple = ()
-
-
 def step(ta: TimedAutomaton, configs: Iterable[Config], letter: int, now: float) -> set[Config]:
     """One synchronous move of every configuration on ``letter`` at ``now``.
 
@@ -169,17 +165,13 @@ def step(ta: TimedAutomaton, configs: Iterable[Config], letter: int, now: float)
     run died.
     """
     out: set[Config] = set()
-    exact = ta._exact
-    wild = ta._wild
+    moves = ta._moves
     n_clocks = ta.n_clocks
     for state, last_reset in configs:
-        candidates = exact.get((state, letter), _NO_TRANSITIONS)
-        wilds = wild.get(state)
-        if wilds:
-            matched = [tr for mask, value, tr in wilds if letter & mask == value]
-            if matched:
-                candidates = list(candidates) + matched
-        for tr in candidates:
+        enabled = moves.get((state, letter))
+        if enabled is None:
+            enabled = ta.transitions_from(state, letter)
+        for tr in enabled:
             if tr.guard and not eval_clock_guard(tr.guard, last_reset, now):
                 continue
             if tr.resets:
@@ -234,9 +226,7 @@ def classify_states(ta: TimedAutomaton) -> tuple[frozenset[int], frozenset[int]]
         reach[s] = seen
 
     total_cache = {
-        s: _covers_all_letters(
-            [_pattern_mask_value(tr.pattern) for tr in ta.transitions if tr.src == s and not tr.guard]
-        )
+        s: _covers_all_letters([(m, v) for m, v, tr in ta._cubes[s] if not tr.guard])
         for s in range(ta.n_states)
     }
     early_accept = frozenset(
@@ -437,9 +427,6 @@ def is_compatible_order(ta: TimedAutomaton, order: Sequence[int]) -> Compatibili
     """
     if sorted(order) != list(range(ta.width)):
         raise FormatError(f"order {order!r} is not a permutation of 0..{ta.width - 1}")
-    cubes: dict[int, set[tuple[int, int, int]]] = {s: set() for s in range(ta.n_states)}
-    for tr in ta.transitions:
-        cubes[tr.src].add((*_pattern_mask_value(tr.pattern), tr.dst))
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
             nfa = _first_appearance_nfa(order[i], order[j])
@@ -448,7 +435,8 @@ def is_compatible_order(ta: TimedAutomaton, order: Sequence[int]) -> Compatibili
             stack = [start]
             while stack:
                 s_ta, s_nfa = stack.pop()
-                for m1, v1, q in cubes[s_ta]:
+                for m1, v1, tr in ta._cubes[s_ta]:
+                    q = tr.dst
                     for src, m2, v2, r in nfa:
                         # The two cubes share a letter when they agree on
                         # every bit both care about.

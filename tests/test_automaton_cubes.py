@@ -1,8 +1,9 @@
 """The cube-based automaton analyses against letter-enumerating references.
 
 ``classify_states`` and ``is_compatible_order`` reason over transition
-cubes instead of the ``2^width`` letters; the references below enumerate
-letters and so only run at small widths.
+cubes instead of the ``2^width`` letters, and ``transitions_from`` fills
+its move table one ``(state, letter)`` at a time; the references below
+enumerate letters and so only run at small widths.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from itertools import permutations
 
 import pytest
 
-from tempo_bgp import Compatibility, classify_states, is_compatible_order
+from tempo_bgp import Compatibility, accepts, classify_states, is_compatible_order
 from tempo_bgp.fixtures import TA_WIDTHS, load_ta
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.timed_automaton import (
@@ -121,6 +122,25 @@ def orders(width: int, rng: SplitMix64):
     return [tuple(range(width)), tuple(reversed(range(width))), tuple(shuffled)]
 
 
+def reference_transitions(ta: TimedAutomaton, state: int, letter: int):
+    out = []
+    for tr in ta.transitions:
+        mask, value = _pattern_mask_value(tr.pattern)
+        if tr.src == state and letter & mask == value:
+            out.append(tr)
+    return tuple(out)
+
+
+def test_transitions_from_agrees_with_a_scan():
+    for name, ta in automata():
+        for state in range(ta.n_states):
+            for letter in range(1 << ta.width):
+                want = reference_transitions(ta, state, letter)
+                assert ta.transitions_from(state, letter) == want, (name, state, letter)
+                # the second answer comes from the move table
+                assert ta.transitions_from(state, letter) == want, (name, state, letter)
+
+
 def test_classify_states_agrees_with_letter_enumeration():
     for name, ta in automata():
         assert classify_states(ta) == reference_classify(ta), name
@@ -160,3 +180,17 @@ def test_width_24_automata_construct_and_answer():
     assert ring.early_accept == frozenset()
     assert is_compatible_order(ring, list(range(wide))) is Compatibility.COMPATIBLE
     assert is_compatible_order(ring, list(reversed(range(wide)))) is Compatibility.INCOMPATIBLE
+    # one lap through the ring, an idle letter between edges, accepts; any
+    # word is accepted by the automaton that reads everything
+    lap = [(float(2 * j + 1), 1 << j) for j in range(wide)]
+    lap += [(float(2 * j + 2), 0) for j in range(wide)]
+    lap.sort()
+    assert accepts(ring, lap)
+    assert not accepts(ring, [(1.0, 1 << (wide - 1))])
+    rng = SplitMix64(24)
+    noise = [(float(t), rng.randint(0, (1 << wide) - 1)) for t in range(1, 50)]
+    assert accepts(anything, noise)
+    # only the (state, letter) pairs actually read, the zero letter that
+    # dead_start reads included, are in the move tables
+    assert len(anything._moves) <= len(noise) + 1
+    assert len(ring._moves) <= 2 * wide + 1

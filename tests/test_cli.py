@@ -187,6 +187,18 @@ def test_bench_unknown_algorithm(capsys):
     assert "unknown algorithm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_bench_refuses_fewer_than_one_repeat(capsys, repeat):
+    code = run_cli(
+        "bench", "--graph", GRAPH_DIR, "--bgp", bgp_file("cycle2"), "--ta", ta_file("ta2"),
+        "--repeat", repeat,
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --repeat must be at least 1")
+    assert captured.out == ""
+
+
 def test_bench_table_format(capsys):
     assert run_cli(
         "bench", "--graph", GRAPH_DIR, "--bgp", bgp_file("cycle2"), "--ta", ta_file("ta2"),

@@ -8,12 +8,16 @@ import pytest
 from tempo_bgp import (
     FormatError,
     ReferentialError,
+    build_graph,
+    oracle_accepted_matchings,
+    parse_automaton,
+    parse_bgp,
     run_baseline,
     run_on_demand,
     run_partial_match,
 )
 from tempo_bgp.cli import main
-from tempo_bgp.fixtures import TA_WIDTHS, fixture_path
+from tempo_bgp.fixtures import TA_WIDTHS, fixture_path, load_ta
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.temporal_graph import write_graph_dir
 from tempo_bgp.workbench import GenSpec, generate_graph, random_graph, shape_bgp
@@ -96,3 +100,43 @@ def test_on_demand_counts_like_baseline_when_every_edge_is_active(name, defer_st
             want.generated,
             want.early_rejected,
         ), seed
+
+
+ENGINES = (run_baseline, run_on_demand, run_partial_match)
+ANY_LETTER = parse_automaton("states 1\ninitial 0\naccepting 0\ntrans 0 * true - 0\n", 1)
+
+
+@pytest.mark.parametrize("label, n_accepted", [("", 3), (" : m", 1)])
+def test_isolated_node_variable_ranges_over_label_compatible_nodes(label, n_accepted):
+    # partial rows never bound z, so run_partial_match used to accept nothing
+    g = build_graph({"a": "n", "b": "n", "c": "m"}, {"e1": ("a", "b", "l")}, {"e1": [1.0]})
+    p = parse_bgp(f"node x1\nnode x2\nnode z{label}\nedge y1 : x1 -> x2\n")
+    want = set(oracle_accepted_matchings(g, p, ANY_LETTER))
+    assert len(want) == n_accepted
+    for engine in ENGINES:
+        assert engine(g, p, ANY_LETTER).accepted_set == want, engine.__name__
+
+
+ISOLATED = {
+    "path1_z": "node x1\nnode x2\nnode z\nedge y1 : x1 -> x2\n",
+    "path2_z_m": "node x1\nnode x2\nnode x3\nnode z : m\nedge y1 : x1 -> x2\nedge y2 : x2 -> x3\n",
+    "cycle2_z_w": "node z : n\nnode x1\nnode x2\nnode w\n"
+    "edge y1 : x1 -> x2\nedge y2 : x2 -> x1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISOLATED))
+def test_engines_agree_with_oracle_on_isolated_node_variables(name):
+    p = parse_bgp(ISOLATED[name])
+    automata = [ANY_LETTER] if p.width == 1 else [load_ta(n) for n in ("ta1", "ta2", "ta5", "ta7")]
+    for seed in range(25):
+        g = random_graph(SplitMix64(seed * 17 + 3), max_nodes=5, max_edges=7, max_timepoints=5)
+        for automaton in automata:
+            for distinct_edges in (False, True):
+                want = set(oracle_accepted_matchings(g, p, automaton, distinct_edges=distinct_edges))
+                for engine in ENGINES:
+                    for early_exit in (True, False):
+                        got = engine(
+                            g, p, automaton, early_exit=early_exit, distinct_edges=distinct_edges
+                        ).accepted_set
+                        assert got == want, (seed, engine.__name__, early_exit, distinct_edges)

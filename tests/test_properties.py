@@ -14,39 +14,54 @@ from tempo_bgp import (
     oracle_word,
     step,
 )
-from tempo_bgp.fixtures import load_ta
+from tempo_bgp.fixtures import TA_WIDTHS, load_ta
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.workbench import random_graph, ring_automaton, shape_bgp
 
-WIDTH2 = ("tae", "ta0_m2", "ta1", "ta2", "ta3", "ta5", "ta6", "ta7", "ta8")
-TA2W = {name: load_ta(name) for name in WIDTH2}
+AUTOMATA = {name: load_ta(name) for name in TA_WIDTHS}
+AUTOMATA["ring3c2"] = ring_automaton(3, n_clocks=2)
 
-# times on a 1/8 grid keep every clock computation exact in floating point,
-# so the two clock representations must agree bit for bit
-dyadic_words = st.lists(
-    st.tuples(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=3)),
-    max_size=9,
-).map(
-    lambda steps: [
-        (sum(d for d, _ in steps[: i + 1]) * 0.125, letter)
-        for i, (_, letter) in enumerate(steps)
-    ]
-)
+
+def letters(name):
+    return st.integers(min_value=0, max_value=(1 << AUTOMATA[name].width) - 1)
+
+
+def dyadic_words(name):
+    # times on a 1/8 grid keep every clock computation exact in floating
+    # point, so the two clock representations must agree bit for bit
+    return st.lists(
+        st.tuples(st.integers(min_value=1, max_value=64), letters(name)), max_size=9
+    ).map(
+        lambda steps: [
+            (sum(d for d, _ in steps[: i + 1]) * 0.125, letter)
+            for i, (_, letter) in enumerate(steps)
+        ]
+    )
+
+
+def with_automaton(strategy):
+    """An automaton name with a value drawn for it by ``strategy(name)``."""
+    return st.sampled_from(sorted(AUTOMATA)).flatmap(
+        lambda name: st.tuples(st.just(name), strategy(name))
+    )
+
 
 common = settings(max_examples=120, deadline=None, derandomize=True)
 
 
-@given(name=st.sampled_from(WIDTH2), word=dyadic_words)
+@given(case=with_automaton(dyadic_words))
 @common
-def test_accepts_agrees_with_oracle(name, word):
-    ta = TA2W[name]
+def test_accepts_agrees_with_oracle(case):
+    name, word = case
+    ta = AUTOMATA[name]
     assert accepts(ta, word) == oracle_accepts(ta, word)
 
 
-@given(name=st.sampled_from(WIDTH2), word=dyadic_words)
+@given(case=with_automaton(dyadic_words))
 @common
-def test_lazy_clocks_equal_explicit_increments(name, word):
-    ta = TA2W[name]
+def test_lazy_clocks_equal_explicit_increments(case):
+    name, word = case
+    ta = AUTOMATA[name]
     reference = oracle_run(ta, word)
     configs = {ta.initial_config()}
     now = 0.0
@@ -60,13 +75,13 @@ def test_lazy_clocks_equal_explicit_increments(name, word):
 
 
 @given(
-    name=st.sampled_from(WIDTH2),
-    letter=st.integers(min_value=0, max_value=3),
+    case=with_automaton(letters),
     stamps=st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=6),
 )
 @common
-def test_step_monotone_in_configs(name, letter, stamps):
-    ta = TA2W[name]
+def test_step_monotone_in_configs(case, stamps):
+    name, letter = case
+    ta = AUTOMATA[name]
     configs = [
         (s % ta.n_states, (float(v),) * ta.n_clocks) for s, v in enumerate(stamps)
     ]
