@@ -6,7 +6,6 @@ from .bgp import (
     delta_match,
     empty_matching,
     extend,
-    match_partial_maximal,
     match_total,
     parse_bgp,
 )

@@ -10,9 +10,11 @@ declaration order, backed by the graph's endpoint hash indices.  One
 backtracking step, ``_bind``, binds an edge variable for total, delta and
 partial matching alike.  The delta join is one pass over the union of old
 and new edges in which, while no new edge is bound, the last edge variable
-may bind only new edges.  The declaration order of the edge variables is
-also the canonical bit order used by letter bitsets everywhere else in the
-package.
+may bind only new edges.  ``extend`` is the one producer of partial
+matchings; like the total matchers, it fills isolated node variables once
+every edge variable is bound.  The declaration order of the edge variables
+is also the canonical bit order used by letter bitsets everywhere else in
+the package.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ class Bgp:
     def edge_index(self, name: str) -> int:
         return self.edge_vars.index(name)
 
+    @property
+    def isolated(self) -> tuple[int, ...]:
+        """Indices of the node variables that no edge variable reads."""
+        ends = {end for y in self.edge_vars for end in self.rho[y]}
+        return tuple(i for i, x in enumerate(self.node_vars) if x not in ends)
+
 
 class Matching(NamedTuple):
     """A (possibly partial) assignment of pattern variables to graph elements.
@@ -59,10 +67,14 @@ class Matching(NamedTuple):
     def is_total(self) -> bool:
         return None not in self.edges and None not in self.nodes
 
-    def format_edges(self, p: Bgp) -> str:
-        return " ".join(
-            f"{y}={e}" for y, e in zip(p.edge_vars, self.edges) if e is not None
-        )
+    def format(self, p: Bgp) -> str:
+        """The bound edge variables, then the bound isolated node variables;
+        every other binding follows from these."""
+        edges = [f"{y}={e}" for y, e in zip(p.edge_vars, self.edges) if e is not None]
+        nodes = [
+            f"{p.node_vars[i]}={self.nodes[i]}" for i in p.isolated if self.nodes[i] is not None
+        ]
+        return " ".join(edges + nodes)
 
     def contains(self, other: "Matching") -> bool:
         """True when this matching extends (or equals) ``other``."""
@@ -234,7 +246,7 @@ def _freeze(p: Bgp, binding: dict[str, str], edge_binding: dict[str, str]) -> Ma
     )
 
 
-def isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matching]] | None:
+def _isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matching]] | None:
     """The fill of isolated node variables, ``None`` when the pattern has none.
 
     Isolated node variables (no incident edge variable) range over every
@@ -242,7 +254,7 @@ def isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matchin
     matching binding every edge variable to one matching per assignment of
     them; any other matching maps to itself alone.
     """
-    slots = [i for i, x in enumerate(p.node_vars) if not any(x in p.rho[y] for y in p.edge_vars)]
+    slots = p.isolated
     if not slots:
         return None
     assignments = list(product(*(
@@ -267,11 +279,11 @@ def isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matchin
 def _total(
     g: TemporalGraph,
     p: Bgp,
-    pools: Sequence[set[str] | frozenset[str] | None],
     distinct_edges: bool,
+    pool: set[str] | None = None,
     touch: set[str] | None = None,
 ) -> list[Matching]:
-    """Sorted total matchings, slot ``j`` drawn from ``pools[j]``.
+    """Sorted total matchings drawing edges from ``pool`` (any edge when ``None``).
 
     With ``touch``, only matchings binding at least one edge of ``touch``:
     while no such edge is bound, the last slot may take only those edges.
@@ -290,37 +302,25 @@ def _total(
             results.append(_freeze(p, binding, edge_binding))
             return
         y = p.edge_vars[j]
-        pool = touch if j == last and not touched else pools[j]
-        for _ in _bind(g, p, binding, edge_binding, used, y, pool):
+        take = touch if j == last and not touched else pool
+        for _ in _bind(g, p, binding, edge_binding, used, y, take):
             grow(j + 1, touched or edge_binding[y] in touch)
 
     grow(0, touch is None)
-    fill = isolated_fill(g, p)
+    fill = _isolated_fill(g, p)
     if fill is not None:
         results = [f for m in results for f in fill(m)]
     results.sort(key=lambda m: (m.edges, m.nodes))
     return results
 
 
-def match_total(
-    g: TemporalGraph,
-    p: Bgp,
-    *,
-    distinct_edges: bool = False,
-    pools: Sequence[Iterable[str] | None] | None = None,
-) -> list[Matching]:
+def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False) -> list[Matching]:
     """All total matchings of ``p`` in ``g``, ignoring time.
 
-    ``pools`` optionally restricts, per edge variable, the set of edge ids
-    that variable may bind (``None`` entries leave a slot unrestricted).
     Output is sorted by bound edge ids in declaration order, then by node
     bindings, so results are reproducible.
     """
-    if pools is None:
-        pools = [None] * len(p.edge_vars)
-    else:
-        pools = [None if x is None else (x if isinstance(x, (set, frozenset)) else set(x)) for x in pools]
-    return _total(g, p, pools, distinct_edges)
+    return _total(g, p, distinct_edges)
 
 
 def delta_match(
@@ -344,66 +344,11 @@ def delta_match(
         raise FormatError("new_edges must be disjoint from old_history")
     if not new or not p.edge_vars:
         return []
-    return _total(g, p, [old | new] * len(p.edge_vars), distinct_edges, new)
+    return _total(g, p, distinct_edges, old | new, new)
 
 
 # ---------------------------------------------------------------------------
 # Partial matchings
-
-
-def _extensions(
-    g: TemporalGraph,
-    p: Bgp,
-    base: Matching,
-    pool: set[str],
-    *,
-    order: Sequence[str] | None = None,
-    distinct_edges: bool = False,
-    require_new: bool = True,
-) -> list[Matching]:
-    """Partial matchings extending ``base`` by binding edges from ``pool``.
-
-    Every added edge variable is bound to a pool edge; all subset sizes are
-    produced (proper extensions only when ``require_new``).  With ``order``,
-    only assignments whose bound variables form a prefix of the order are
-    generated.
-    """
-    binding = {x: v for x, v in zip(p.node_vars, base.nodes) if v is not None}
-    edge_binding = {y: e for y, e in zip(p.edge_vars, base.edges) if e is not None}
-    used = set(edge_binding.values()) if distinct_edges else None
-    out: list[Matching] = []
-
-    if order is not None:
-        bound_set = set(edge_binding)
-        k = 0
-        while k < len(order) and order[k] in bound_set:
-            k += 1
-        if bound_set - set(order[:k]):
-            return []  # base itself is not a prefix; nothing to generate
-        todo = list(order[k:])
-        prefix_only = True
-    else:
-        todo = [y for y in p.edge_vars if y not in edge_binding]
-        prefix_only = False
-
-    def grow(i: int, bound_any: bool) -> None:
-        if i == len(todo):
-            if bound_any or not require_new:
-                out.append(_freeze(p, binding, edge_binding))
-            return
-        y = todo[i]
-        # leaving y unbound: under a prefix order no later variable may
-        # then be bound, so emit and stop.
-        if prefix_only:
-            if bound_any or not require_new:
-                out.append(_freeze(p, binding, edge_binding))
-        else:
-            grow(i + 1, bound_any)
-        for _ in _bind(g, p, binding, edge_binding, used, y, pool):
-            grow(i + 1, True)
-
-    grow(0, False)
-    return out
 
 
 def extend(
@@ -422,53 +367,49 @@ def extend(
     proper extension whose added bindings all use edges first seen in the
     current snapshot (older edges were already offered to the matching's
     ancestors, so re-binding them would replay history with the wrong
-    letter prefix).  ``history`` is accepted for contract symmetry; new
-    edges are required to belong to it.
+    letter prefix).  An extension binding every edge variable yields one
+    pair per fill of the isolated node variables.  With ``order``, only
+    extensions whose bound variables form a prefix of the order are
+    generated.  ``history`` is accepted for contract symmetry; new edges
+    are required to belong to it.
     """
     new = set(new_edges)
-    hist = set(history)
-    if not new <= hist:
+    if not new <= set(history):
         raise FormatError("new_edges must be contained in history")
+    fill = _isolated_fill(g, p)
     pairs: list[tuple[Matching, Matching]] = []
     for mu in states_matchings:
         pairs.append((mu, mu))
-        if new:
-            for ext in _extensions(
-                g, p, mu, new, order=order, distinct_edges=distinct_edges, require_new=True
-            ):
-                pairs.append((mu, ext))
+        if not new:
+            continue
+        binding = {x: v for x, v in zip(p.node_vars, mu.nodes) if v is not None}
+        edge_binding = {y: e for y, e in zip(p.edge_vars, mu.edges) if e is not None}
+        used = set(edge_binding.values()) if distinct_edges else None
+        if order is None:
+            todo = [y for y in p.edge_vars if y not in edge_binding]
+        else:
+            k = 0
+            while k < len(order) and order[k] in edge_binding:
+                k += 1
+            if set(edge_binding) - set(order[:k]):
+                continue  # mu itself is not a prefix; nothing to generate
+            todo = order[k:]
+
+        def grow(i: int, bound_any: bool) -> None:
+            # under an order, leaving todo[i] unbound leaves every later
+            # variable unbound too, so the extension ends here
+            if bound_any and (i == len(todo) or order is not None):
+                m = _freeze(p, binding, edge_binding)
+                if fill is None:
+                    pairs.append((mu, m))
+                else:
+                    pairs.extend((mu, f) for f in fill(m))
+            if i == len(todo):
+                return
+            if order is None:
+                grow(i + 1, bound_any)
+            for _ in _bind(g, p, binding, edge_binding, used, todo[i], new):
+                grow(i + 1, True)
+
+        grow(0, False)
     return pairs
-
-
-def match_partial_maximal(
-    g: TemporalGraph,
-    p: Bgp,
-    edge_ids: Iterable[str],
-    *,
-    distinct_edges: bool = False,
-) -> list[Matching]:
-    """Maximal partial matchings of ``p`` in the subgraph on ``edge_ids``.
-
-    A partial matching is maximal when no strictly larger partial matching
-    exists over the same edge set; the empty matching qualifies exactly
-    when nothing binds at all.  Total matchings are vacuously maximal.
-    """
-    pool = set(edge_ids)
-    all_partials = _extensions(
-        g, p, empty_matching(p), pool, distinct_edges=distinct_edges, require_new=False
-    )
-    out = [m for m in all_partials if not _one_step_extendable(g, p, m, pool, distinct_edges)]
-    out.sort(key=lambda m: (tuple(e or "" for e in m.edges), tuple(v or "" for v in m.nodes)))
-    return out
-
-
-def _one_step_extendable(
-    g: TemporalGraph, p: Bgp, m: Matching, pool: set[str], distinct_edges: bool
-) -> bool:
-    binding = {x: v for x, v in zip(p.node_vars, m.nodes) if v is not None}
-    used = {e for e in m.edges if e is not None} if distinct_edges else None
-    for y, bound in zip(p.edge_vars, m.edges):
-        if bound is None:
-            for _ in _bind(g, p, binding, {}, used, y, pool):
-                return True
-    return False

@@ -55,7 +55,7 @@ def _parse_order(text, p):
 
 def _result_lines(p, result, wall_ms):
     for m, t in result.accepted:
-        yield f"ACCEPT t={format_time(t)} {m.format_edges(p)}"
+        yield f"ACCEPT t={format_time(t)} {m.format(p)}"
     c = result.counters
     yield (
         f"STATS rows={c.rows} generated={c.generated} "
@@ -151,8 +151,8 @@ def cmd_verify(args) -> int:
         missing = reference - got
         extra = got - reference
         if missing or extra:
-            print(f"{name}: missing={[m.format_edges(p) for m in sorted(missing, key=str)]}"
-                  f" extra={[m.format_edges(p) for m in sorted(extra, key=str)]}")
+            print(f"{name}: missing={[m.format(p) for m in sorted(missing, key=str)]}"
+                  f" extra={[m.format(p) for m in sorted(extra, key=str)]}")
     return EXIT_PARSE
 
 

@@ -41,7 +41,6 @@ from .bgp import (
     delta_match,
     empty_matching,
     extend,
-    isolated_fill,
     match_total,
 )
 from .errors import FormatError, OrderIncompatible, OrderNotConnected, ReferentialError
@@ -220,11 +219,8 @@ class _Core:
         for m, configs in table.items():
             if (not partial or m.is_total()) and any(s in accepting for s, _ in configs):
                 accepted[m] = t
-        items = sorted(
-            accepted.items(),
-            key=lambda kv: (tuple(e or "" for e in kv[0].edges), tuple(v or "" for v in kv[0].nodes)),
-        )
-        return EngineResult(items, self.counters)
+        # accepted matchings are total and distinct, so they sort as they are
+        return EngineResult(sorted(accepted.items()), self.counters)
 
 
 def _by_entry(matchings, first: dict[str, int], n: int) -> dict[int, list[Matching]]:
@@ -383,7 +379,6 @@ def run_partial_match(
     table: dict[Matching, frozenset[Config] | set[Config]] = {empty_matching(p): core.seed}
     if trace is not None:
         trace.add_row(0.0, empty_matching(p), 0, core.seed, "alive")
-    fill = isolated_fill(g, p)
     history: set[str] = set()
     t = 0.0
     for t, snap, new_edges in _snapshots(g, stream, history):
@@ -391,18 +386,11 @@ def run_partial_match(
             pairs = extend(
                 g, p, list(table), new_edges, history, order=order, distinct_edges=distinct_edges
             )
-            # no two pairs give the same new row (an extension's older edges
-            # are exactly its source row's), and step never mutates a set,
-            # so rows share their source's configurations
-            rewritten: dict[Matching, set[Config]] = {}
-            for old, new in pairs:
-                if new == old:
-                    rewritten[new] = table[old]
-                    continue
-                for m in (new,) if fill is None else fill(new):
-                    core.counters.generated += 1
-                    rewritten[m] = table[old]
-            table = rewritten
+            # one identity pair per row, the rest are new rows (no two alike:
+            # an extension's older edges are exactly its source row's); step
+            # never mutates a set, so rows share their source's configurations
+            core.counters.generated += len(pairs) - len(table)
+            table = {new: table[old] for old, new in pairs}
         table = core.tick(table, snap, t)
     return core.finish(table, t)
 

@@ -12,14 +12,13 @@ from tempo_bgp import (
     empty_matching,
     extend,
     history_upto,
-    match_partial_maximal,
     match_total,
     oracle_match,
-    oracle_maximal_partials,
     parse_bgp,
 )
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.workbench import random_graph, shape_bgp
+from test_matcher_binder import restricted
 
 
 def edge_sets(matchings):
@@ -122,35 +121,7 @@ class TestDeltaMatch:
             new = set(history_upto(g, i)) - hist
             acc.extend(delta_match(g, p, hist, new))
             hist |= new
-        assert sorted(acc, key=lambda m: (m.edges, m.nodes)) == match_total(
-            g, p, pools=[hist] * len(p.edge_vars)
-        )
-
-
-class TestPartialMaximal:
-    def test_empty_edge_set(self, interactions, bgp):
-        assert match_partial_maximal(interactions, bgp["cycle2u"], set()) == [
-            empty_matching(bgp["cycle2u"])
-        ]
-
-    def test_first_snapshot_candidates(self, interactions, bgp):
-        hist = history_upto(interactions, interactions.rank[1.0])
-        got = edge_sets(match_partial_maximal(interactions, bgp["cycle2u"], hist))
-        assert ("e5", None) in got
-        assert (None, "e5") in got
-
-    def test_matches_oracle_on_full_graph(self, interactions, bgp):
-        got = match_partial_maximal(interactions, bgp["path2"], set(interactions.edges))
-        assert got == oracle_maximal_partials(interactions, bgp["path2"], set(interactions.edges))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_oracle_random(self, seed, bgp):
-        g = random_graph(SplitMix64(seed + 900), max_edges=8)
-        for shape in ("cycle2", "star2"):
-            p = shape_bgp(shape)
-            assert match_partial_maximal(g, p, set(g.edges)) == oracle_maximal_partials(
-                g, p, set(g.edges)
-            )
+        assert sorted(acc, key=lambda m: (m.edges, m.nodes)) == match_total(restricted(g, hist), p)
 
 
 class TestExtend:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from tempo_bgp.cli import main
 from tempo_bgp.fixtures import fixture_path
 
@@ -77,6 +79,28 @@ def test_match_flag_plumbing(capsys):
     assert out[:2] == ["ACCEPT t=9 y1=e11 y2=e12", "ACCEPT t=9 y1=e12 y2=e11"]
 
 
+@pytest.mark.parametrize("algo", ["baseline", "on-demand", "partial"])
+def test_match_prints_isolated_node_bindings(algo, tmp_path, capsys):
+    # three matchings share y1=e1 and differ only in the isolated z
+    from tempo_bgp.temporal_graph import build_graph, write_graph_dir
+
+    g = build_graph({"a": "n", "b": "n", "c": "m"}, {"e1": ("a", "b", "e")}, {"e1": [1.0]})
+    write_graph_dir(tmp_path / "g", g)
+    (tmp_path / "p.bgp").write_text("node x1\nnode x2\nnode z\nedge y1 : x1 -> x2\n")
+    (tmp_path / "all.ta").write_text(
+        "states 1\ninitial 0\naccepting 0\nclocks 0\ntrans 0 * true - 0\n"
+    )
+    code = run_cli(
+        "match", "--graph", str(tmp_path / "g"), "--bgp", str(tmp_path / "p.bgp"),
+        "--ta", str(tmp_path / "all.ta"), "--algo", algo,
+    )
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split(" ", 2)[2] for line in out[:-1]] == [
+        "y1=e1 z=a", "y1=e1 z=b", "y1=e1 z=c"
+    ]
+
+
 def test_check_order_report(capsys):
     assert run_cli(
         "check-order", "--bgp", bgp_file("path3"), "--ta", ta_file("ta4"),
@@ -108,8 +132,6 @@ def test_verify_agreement(capsys):
     ) == 0
     assert "agree" in capsys.readouterr().out
 
-
-import pytest
 
 
 @pytest.mark.parametrize(

@@ -3,18 +3,21 @@ constants, labels and distinct edges, against the brute-force oracle."""
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
 from tempo_bgp import (
     build_graph,
     delta_match,
+    empty_matching,
+    extend,
     history_upto,
-    match_partial_maximal,
     match_total,
     oracle_match,
-    oracle_maximal_partials,
     parse_bgp,
 )
+from tempo_bgp.oracle import oracle_enumerate_partials
 from tempo_bgp.rng import SplitMix64
 
 PATTERNS = {
@@ -44,6 +47,15 @@ def looped_graph(seed: int):
         edges[f"e{i}"] = (f"v{u}", f"v{v}", ("e", "s")[rng.randint(0, 1)])
         active[f"e{i}"] = [float(rng.randint(1, n_times))]
     return build_graph(nodes, edges, active)
+
+
+def restricted(g, hist):
+    """``g`` with only the edges of ``hist``; every node is kept."""
+    return build_graph(
+        g.nodes,
+        {e: (g.edges[e].src, g.edges[e].dst, g.edges[e].label) for e in hist},
+        {e: g.active[e] for e in hist},
+    )
 
 
 SEEDS = range(12)
@@ -76,21 +88,49 @@ def test_delta_match_telescopes_to_match_total(name, distinct):
             acc.extend(batch)
             hist = history_upto(g, i)
             assert sorted(acc, key=lambda m: (m.edges, m.nodes)) == match_total(
-                g, p, distinct_edges=distinct, pools=[hist] * len(p.edge_vars)
+                restricted(g, hist), p, distinct_edges=distinct
             ), (seed, i)
+
+
+def _prefix_in_rank_order(g, p, order, m):
+    """Whether ``m`` binds a prefix of ``order`` with edges first seen at
+    non-decreasing ranks: the rows an ordered ``extend`` can reach."""
+    edges = [m.edges[p.edge_index(y)] for y in order]
+    bound = [e is not None for e in edges]
+    ranks = [g.first_rank[e] for e in edges if e is not None]
+    return bound == sorted(bound, reverse=True) and ranks == sorted(ranks)
 
 
 @pytest.mark.parametrize("distinct", [False, True])
 @pytest.mark.parametrize("name", sorted(PATTERNS))
-def test_maximal_partials_agree_with_oracle(name, distinct):
+def test_extend_telescopes_to_every_partial(name, distinct):
+    # fed the history snapshot by snapshot from the empty matching, extend
+    # grows a table of every partial matching over the history plus every
+    # total one, isolated node variables filled; under an order, of those
+    # that bind a prefix of it in rank order
     p = parse_bgp(PATTERNS[name])
     for seed in SEEDS:
         g = looped_graph(seed)
-        for i in (1, len(g.domain)):
+        wants = []
+        for i in range(1, len(g.domain) + 1):
             hist = history_upto(g, i)
-            assert match_partial_maximal(g, p, hist, distinct_edges=distinct) == (
-                oracle_maximal_partials(g, p, hist, distinct_edges=distinct)
-            ), (seed, i)
+            partials = oracle_enumerate_partials(g, p, hist, distinct_edges=distinct)
+            wants.append(
+                {m for m in partials if None in m.edges}
+                | set(oracle_match(restricted(g, hist), p, distinct_edges=distinct))
+            )
+        for order in [None, *permutations(p.edge_vars)]:
+            table = [empty_matching(p)]
+            hist = frozenset()
+            for i, want in enumerate(wants, start=1):
+                new = history_upto(g, i) - hist
+                hist = history_upto(g, i)
+                pairs = extend(g, p, table, new, hist, order=order, distinct_edges=distinct)
+                table = [m for _, m in pairs]
+                assert len(set(table)) == len(table), (seed, order, i)
+                if order is not None:
+                    want = {m for m in want if _prefix_in_rank_order(g, p, order, m)}
+                assert set(table) == want, (seed, order, i)
 
 
 def test_graphs_have_self_loop_matchings():
