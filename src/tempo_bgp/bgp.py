@@ -8,13 +8,14 @@ unless ``distinct_edges`` is requested.
 Matching is implemented as an edge-growing join in edge-variable
 declaration order, backed by the graph's endpoint hash indices.  One
 backtracking step, ``_bind``, binds an edge variable for total, delta and
-partial matching alike.  The delta join is one pass over the union of old
-and new edges in which, while no new edge is bound, the last edge variable
-may bind only new edges.  ``extend`` is the one producer of partial
-matchings; like the total matchers, it fills isolated node variables once
-every edge variable is bound.  The declaration order of the edge variables
-is also the canonical bit order used by letter bitsets everywhere else in
-the package.
+partial matching alike, writing the position slots of ``Matching`` itself:
+node slots are the node variables, then one slot per constant pre-bound to
+its name.  The delta join is one pass over the union of old and new edges
+in which, while no new edge is bound, the last edge variable may bind only
+new edges.  ``extend`` is the one producer of partial matchings; like the
+total matchers, it fills isolated node variables once every edge variable
+is bound.  The declaration order of the edge variables is also the
+canonical bit order used by letter bitsets everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -87,34 +88,6 @@ def empty_matching(p: Bgp) -> Matching:
     return Matching((None,) * len(p.edge_vars), (None,) * len(p.node_vars))
 
 
-def make_bgp(
-    constants: Iterable[str],
-    node_vars: Iterable[str],
-    edge_vars: Iterable[str],
-    rho: dict[str, tuple[str, str]],
-    labels: dict[str, str] | None = None,
-) -> Bgp:
-    constants = tuple(constants)
-    node_vars = tuple(node_vars)
-    edge_vars = tuple(edge_vars)
-    labels = dict(labels or {})
-    names = list(constants) + list(node_vars) + list(edge_vars)
-    if len(set(names)) != len(names):
-        raise DuplicateIdError("constants, node variables and edge variables must be disjoint")
-    endpoints_ok = set(constants) | set(node_vars)
-    for y in edge_vars:
-        if y not in rho:
-            raise FormatError(f"edge variable {y!r} has no endpoints")
-        a, b = rho[y]
-        for end in (a, b):
-            if end not in endpoints_ok:
-                raise FormatError(f"edge variable {y!r} references undeclared endpoint {end!r}")
-    for name in labels:
-        if name not in set(node_vars) | set(edge_vars):
-            raise FormatError(f"label constraint on unknown variable {name!r}")
-    return Bgp(constants, node_vars, edge_vars, dict(rho), labels)
-
-
 def parse_bgp(text: str) -> Bgp:
     """Parse the line-oriented pattern format.
 
@@ -171,33 +144,51 @@ def parse_bgp(text: str) -> Bgp:
         else:
             raise FormatError(f"line {lineno}: unknown declaration {kind!r}")
 
-    return make_bgp(constants, node_vars, edge_vars, rho, labels)
+    endpoints = set(constants) | set(node_vars)
+    for name, ends in rho.items():
+        for end in ends:
+            if end not in endpoints:
+                raise FormatError(f"edge variable {name!r} references undeclared endpoint {end!r}")
+    return Bgp(tuple(constants), tuple(node_vars), tuple(edge_vars), rho, labels)
 
 
 # ---------------------------------------------------------------------------
 # Matching
 
 
+_Slot = tuple[int, int, str | None, str | None, str | None]
+
+
+def _slot_table(p: Bgp) -> list[_Slot]:
+    """Per edge variable: its two endpoint node slots, its wanted label and theirs."""
+    index = {x: i for i, x in enumerate(p.node_vars + p.constants)}
+    table = []
+    for y in p.edge_vars:
+        a, b = p.rho[y]
+        table.append((index[a], index[b], p.labels.get(y), p.labels.get(a), p.labels.get(b)))
+    return table
+
+
 def _bind(
     g: TemporalGraph,
-    p: Bgp,
-    binding: dict[str, str],
-    edge_binding: dict[str, str],
+    slot: _Slot,
+    nodes: list[str | None],
+    edges: list[str | None],
     used: set[str] | None,
-    y: str,
+    j: int,
     pool: set[str] | frozenset[str] | None,
 ) -> Iterator[None]:
-    """Bind edge variable ``y`` to each fitting edge in turn.
+    """Bind edge variable ``j``, whose slot table entry is ``slot``, to each fitting edge in turn.
 
     Yields once per edge of ``pool`` (any edge when ``None``) that is not in
-    ``used`` and fits ``y``'s label and its endpoints, with ``y`` and its
-    fresh endpoints bound; they are unbound when the generator resumes.
-    ``used`` is ``None`` unless edges must be distinct, and then holds the
-    edges already bound.  This is the only code that binds an edge variable.
+    ``used`` and fits the variable's label and its endpoints, with
+    ``edges[j]`` and the fresh endpoint slots of ``nodes`` set; they are
+    unset when the generator resumes.  ``used`` is ``None`` unless edges must
+    be distinct, and then holds the edges already bound.  This is the only
+    code that binds an edge variable.
     """
-    a, b = p.rho[y]
-    va = a if a in p.constants else binding.get(a)
-    vb = b if b in p.constants else binding.get(b)
+    sa, sb, want, label_a, label_b = slot
+    va, vb = nodes[sa], nodes[sb]
     if va is not None:
         candidates = g.by_pair.get((va, vb), ()) if vb is not None else g.by_src.get(va, ())
     elif vb is not None:
@@ -205,45 +196,37 @@ def _bind(
     else:
         candidates = g.edges
     fresh_a = va is None
-    fresh_b = vb is None and b != a  # a fresh self-loop binds its node once
-    loop = fresh_a and a == b
-    want = p.labels.get(y)
-    want_a = p.labels.get(a) if fresh_a else None
-    want_b = p.labels.get(b) if fresh_b else None
-    edges, nodes = g.edges, g.nodes
+    fresh_b = vb is None and sb != sa  # a fresh self-loop binds its node once
+    loop = fresh_a and sa == sb
+    want_a = label_a if fresh_a else None
+    want_b = label_b if fresh_b else None
+    graph_edges, labels = g.edges, g.nodes
     for eid in candidates:
         if (pool is not None and eid not in pool) or (used is not None and eid in used):
             continue
-        e = edges[eid]
+        e = graph_edges[eid]
         if (
             (want is not None and e.label != want)
             or (loop and e.src != e.dst)
-            or (want_a is not None and nodes[e.src] != want_a)
-            or (want_b is not None and nodes[e.dst] != want_b)
+            or (want_a is not None and labels[e.src] != want_a)
+            or (want_b is not None and labels[e.dst] != want_b)
         ):
             continue
         if fresh_a:
-            binding[a] = e.src
+            nodes[sa] = e.src
         if fresh_b:
-            binding[b] = e.dst
-        edge_binding[y] = eid
+            nodes[sb] = e.dst
+        edges[j] = eid
         if used is not None:
             used.add(eid)
         yield
         if used is not None:
             used.discard(eid)
-        del edge_binding[y]
+        edges[j] = None
         if fresh_a:
-            del binding[a]
+            nodes[sa] = None
         if fresh_b:
-            del binding[b]
-
-
-def _freeze(p: Bgp, binding: dict[str, str], edge_binding: dict[str, str]) -> Matching:
-    return Matching(
-        tuple(edge_binding.get(y) for y in p.edge_vars),
-        tuple(binding.get(x) for x in p.node_vars),
-    )
+            nodes[sb] = None
 
 
 def _isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matching]] | None:
@@ -292,19 +275,20 @@ def _total(
         if c not in g.nodes:
             return []
     results: list[Matching] = []
-    binding: dict[str, str] = {}
-    edge_binding: dict[str, str] = {}
+    slots = _slot_table(p)
+    n = len(p.node_vars)
+    nodes: list[str | None] = [None] * n + list(p.constants)
+    edges: list[str | None] = [None] * len(p.edge_vars)
     used: set[str] | None = set() if distinct_edges else None
     last = len(p.edge_vars) - 1
 
     def grow(j: int, touched: bool) -> None:
         if j > last:
-            results.append(_freeze(p, binding, edge_binding))
+            results.append(Matching(tuple(edges), tuple(nodes[:n])))
             return
-        y = p.edge_vars[j]
         take = touch if j == last and not touched else pool
-        for _ in _bind(g, p, binding, edge_binding, used, y, take):
-            grow(j + 1, touched or edge_binding[y] in touch)
+        for _ in _bind(g, slots[j], nodes, edges, used, j, take):
+            grow(j + 1, touched or edges[j] in touch)
 
     grow(0, touch is None)
     fill = _isolated_fill(g, p)
@@ -370,45 +354,52 @@ def extend(
     letter prefix).  An extension binding every edge variable yields one
     pair per fill of the isolated node variables.  With ``order``, only
     extensions whose bound variables form a prefix of the order are
-    generated.  ``history`` is accepted for contract symmetry; new edges
-    are required to belong to it.
+    generated; ``order`` must be a permutation of the edge variables.
+    ``history`` is accepted for contract symmetry; new edges are required to
+    belong to it.
     """
     new = set(new_edges)
     if not new <= set(history):
         raise FormatError("new_edges must be contained in history")
+    if order is not None and sorted(order) != sorted(p.edge_vars):
+        raise FormatError(f"order {order!r} is not a permutation of the edge variables")
+    slot_order = None if order is None else [p.edge_index(y) for y in order]
+    slots = _slot_table(p)
+    n = len(p.node_vars)
     fill = _isolated_fill(g, p)
     pairs: list[tuple[Matching, Matching]] = []
     for mu in states_matchings:
         pairs.append((mu, mu))
         if not new:
             continue
-        binding = {x: v for x, v in zip(p.node_vars, mu.nodes) if v is not None}
-        edge_binding = {y: e for y, e in zip(p.edge_vars, mu.edges) if e is not None}
-        used = set(edge_binding.values()) if distinct_edges else None
-        if order is None:
-            todo = [y for y in p.edge_vars if y not in edge_binding]
+        edges = list(mu.edges)
+        nodes = [*mu.nodes, *p.constants]
+        used = {e for e in edges if e is not None} if distinct_edges else None
+        if slot_order is None:
+            todo = [j for j, e in enumerate(edges) if e is None]
         else:
             k = 0
-            while k < len(order) and order[k] in edge_binding:
+            while k < len(slot_order) and edges[slot_order[k]] is not None:
                 k += 1
-            if set(edge_binding) - set(order[:k]):
+            todo = slot_order[k:]
+            if any(edges[j] is not None for j in todo):
                 continue  # mu itself is not a prefix; nothing to generate
-            todo = order[k:]
 
         def grow(i: int, bound_any: bool) -> None:
             # under an order, leaving todo[i] unbound leaves every later
             # variable unbound too, so the extension ends here
-            if bound_any and (i == len(todo) or order is not None):
-                m = _freeze(p, binding, edge_binding)
+            if bound_any and (i == len(todo) or slot_order is not None):
+                m = Matching(tuple(edges), tuple(nodes[:n]))
                 if fill is None:
                     pairs.append((mu, m))
                 else:
                     pairs.extend((mu, f) for f in fill(m))
             if i == len(todo):
                 return
-            if order is None:
+            if slot_order is None:
                 grow(i + 1, bound_any)
-            for _ in _bind(g, p, binding, edge_binding, used, todo[i], new):
+            j = todo[i]
+            for _ in _bind(g, slots[j], nodes, edges, used, j, new):
                 grow(i + 1, True)
 
         grow(0, False)

@@ -41,6 +41,8 @@ class TestParse:
     def test_undeclared_endpoint(self):
         with pytest.raises(FormatError):
             parse_bgp("node x1\nedge y1 : x1 -> nowhere\n")
+        with pytest.raises(FormatError):  # an edge variable is not an endpoint
+            parse_bgp("node x\nedge y1 : x -> x\nedge y2 : y1 -> x\n")
 
     def test_duplicate_name(self):
         with pytest.raises(DuplicateIdError):
@@ -148,6 +150,13 @@ class TestExtend:
         mus = [empty_matching(p), Matching(("e5", None), ("v5", "v1"))]
         pairs = extend(interactions, p, mus, set(), set(interactions.edges))
         assert pairs == [(m, m) for m in mus]
+
+    @pytest.mark.parametrize("order", [["nope"], ["y1", "y1"], ["y1"]])
+    def test_order_must_permute_the_edge_variables(self, interactions, bgp, order):
+        p = bgp["cycle2u"]
+        hist = set(interactions.edges)
+        with pytest.raises(FormatError):
+            extend(interactions, p, [empty_matching(p)], hist, hist, order=order)
 
     def test_order_restriction_generates_prefixes_only(self, interactions, bgp):
         p = bgp["path3"]

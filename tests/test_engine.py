@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
 from tempo_bgp import (
@@ -10,7 +12,9 @@ from tempo_bgp import (
     OrderNotConnected,
     Trace,
     build_graph,
+    is_connected_order,
     oracle_accepted_matchings,
+    parse_automaton,
     run,
     run_baseline,
     run_on_demand,
@@ -197,8 +201,20 @@ def test_concurrent_runs_share_immutable_inputs(interactions, bgp, ta):
         assert got == run(algo, interactions, bgp[shape], ta[a]).accepted_set
 
 
+def first_timepoint_automaton(width: int):
+    """``y1`` is active at the first timepoint: the initial state dies on
+    the zero letter, so it does not idle and no entry may be deferred."""
+    return parse_automaton(
+        "states 2\ninitial 0\naccepting 1\nclocks 0\n"
+        f"trans 0 1{'*' * (width - 1)} true - 1\ntrans 1 {'*' * width} true - 1\n",
+        width,
+    )
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_three_way_agreement_smoke(seed, ta):
+    # every engine option against the oracle, for a random bundled automaton
+    # and for one that does not idle on empty letters
     rng = SplitMix64(seed * 101 + 17)
     g = random_graph(rng)
     shapes2 = ("path2", "cycle2", "star2")
@@ -209,6 +225,23 @@ def test_three_way_agreement_smoke(seed, ta):
         p, a = shape_bgp(rng.choice(shapes2)), ta[rng.choice(tas2)]
     else:
         p, a = shape_bgp(rng.choice(shapes3)), ta[rng.choice(tas3)]
-    ref = frozenset(oracle_accepted_matchings(g, p, a))
-    for algo in ("baseline", "on-demand", "partial"):
-        assert run(algo, g, p, a).accepted_set == ref, (algo, seed)
+    orders = [None, *(o for o in permutations(p.edge_vars) if is_connected_order(p, o))]
+    for automaton in (a, first_timepoint_automaton(p.width)):
+        for distinct in (False, True):
+            ref = frozenset(oracle_accepted_matchings(g, p, automaton, distinct_edges=distinct))
+            for early in (False, True):
+                for defer in (False, True):
+                    opts = dict(early_exit=early, defer_start=defer, distinct_edges=distinct)
+                    case = (seed, distinct, early, defer)
+                    assert run_baseline(g, p, automaton, **opts).accepted_set == ref, case
+                    stream = iter([(t, g.snapshots[t]) for t in g.domain])
+                    res = run_on_demand(g, p, automaton, stream=stream, **opts)
+                    assert res.accepted_set == ref, case
+                for order in orders:
+                    try:
+                        res = run_partial_match(
+                            g, p, automaton, order=order, early_exit=early, distinct_edges=distinct
+                        )
+                    except OrderIncompatible:
+                        continue
+                    assert res.accepted_set == ref, (seed, distinct, early, order)

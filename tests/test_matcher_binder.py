@@ -24,6 +24,10 @@ PATTERNS = {
     "self_loop": "node x\nnode z\nedge y1 : x -> x\nedge y2 : x -> z\n",
     "labelled_self_loops": "node x : n\nedge y1 : x -> x : s\nedge y2 : x -> x\n",
     "isolated_labelled_node": "node x1\nnode x2\nnode w : m\nedge y1 : x1 -> x2\n",
+    "constant_pair": "const v0\nconst v1\nnode x\nedge y1 : v0 -> v1\nedge y2 : v1 -> x\n",
+    "missing_constant": (
+        "const nowhere\nnode x1\nnode x2\nedge y1 : x1 -> x2\nedge y2 : x2 -> nowhere\n"
+    ),
     "constants": "const v0\nconst v1\nnode x\nedge y1 : v0 -> x\nedge y2 : x -> v1\n",
     "constant_self_loop": (
         "const v0\nnode x\nedge y1 : v0 -> x\nedge y2 : x -> x\nedge y3 : x -> v0\n"
