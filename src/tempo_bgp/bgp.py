@@ -5,17 +5,20 @@ with an endpoint map for the edge variables and optional label constraints.
 Matching is homomorphic: distinct variables may bind the same graph element
 unless ``distinct_edges`` is requested.
 
-Matching is implemented as an edge-growing join in edge-variable
-declaration order, backed by the graph's endpoint hash indices.  One
-backtracking step, ``_bind``, binds an edge variable for total, delta and
-partial matching alike, writing the position slots of ``Matching`` itself:
-node slots are the node variables, then one slot per constant pre-bound to
-its name.  The delta join is one pass over the union of old and new edges
-in which, while no new edge is bound, the last edge variable may bind only
-new edges.  ``extend`` is the one producer of partial matchings; like the
-total matchers, it fills isolated node variables once every edge variable
-is bound.  The declaration order of the edge variables is also the
-canonical bit order used by letter bitsets everywhere else in the package.
+Matching is implemented as an edge-growing join backed by the graph's
+endpoint hash indices.  One backtracking step, ``_bind``, binds an edge
+variable for total, delta and partial matching alike, writing the position
+slots of ``Matching`` itself: node slots are the node variables, then one
+slot per constant pre-bound to its name.  ``match_total`` binds the edge
+variables in declaration order.  The delta join is anchored: for each
+anchor slot in declaration order it binds that slot to each fitting new
+edge first, then grows outward in a connected order, slots before the
+anchor taking only old edges and slots after it old or new ones, so each
+delta matching is built exactly once, at its first new slot.  ``extend``
+is the one producer of partial matchings; like the total matchers, it
+fills isolated node variables once every edge variable is bound.  The
+declaration order of the edge variables is also the canonical bit order
+used by letter bitsets everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -157,6 +160,7 @@ def parse_bgp(text: str) -> Bgp:
 
 
 _Slot = tuple[int, int, str | None, str | None, str | None]
+_Pool = set[str] | frozenset[str] | dict[str, object]
 
 
 def _slot_table(p: Bgp) -> list[_Slot]:
@@ -176,16 +180,19 @@ def _bind(
     edges: list[str | None],
     used: set[str] | None,
     j: int,
-    pool: set[str] | frozenset[str] | None,
+    pool: _Pool | None,
+    scan: Iterable[str] | None = None,
 ) -> Iterator[None]:
     """Bind edge variable ``j``, whose slot table entry is ``slot``, to each fitting edge in turn.
 
     Yields once per edge of ``pool`` (any edge when ``None``) that is not in
     ``used`` and fits the variable's label and its endpoints, with
     ``edges[j]`` and the fresh endpoint slots of ``nodes`` set; they are
-    unset when the generator resumes.  ``used`` is ``None`` unless edges must
-    be distinct, and then holds the edges already bound.  This is the only
-    code that binds an edge variable.
+    unset when the generator resumes.  Candidates come from the graph's
+    endpoint indices when an endpoint is bound, else from ``scan``, which
+    must hold only graph edges (every edge, in graph order, when ``None``).
+    ``used`` is ``None`` unless edges must be distinct, and then holds the
+    edges already bound.  This is the only code that binds an edge variable.
     """
     sa, sb, want, label_a, label_b = slot
     va, vb = nodes[sa], nodes[sb]
@@ -194,7 +201,7 @@ def _bind(
     elif vb is not None:
         candidates = g.by_dst.get(vb, ())
     else:
-        candidates = g.edges
+        candidates = g.edges if scan is None else scan
     fresh_a = va is None
     fresh_b = vb is None and sb != sa  # a fresh self-loop binds its node once
     loop = fresh_a and sa == sb
@@ -263,13 +270,15 @@ def _total(
     g: TemporalGraph,
     p: Bgp,
     distinct_edges: bool,
-    pool: set[str] | None = None,
-    touch: set[str] | None = None,
+    searches: Iterable[tuple[list[int], list[_Pool | None]]],
+    scan: Iterable[str] | None = None,
 ) -> list[Matching]:
-    """Sorted total matchings drawing edges from ``pool`` (any edge when ``None``).
+    """Sorted total matchings found by ``searches``, isolated node variables filled.
 
-    With ``touch``, only matchings binding at least one edge of ``touch``:
-    while no such edge is bound, the last slot may take only those edges.
+    Each search binds the edge variables in its order, variable ``j``
+    taking edges of its ``pools[j]``, and the first one drawing candidates
+    from ``scan`` when neither of its endpoints is a constant (see
+    ``_bind``).  No two searches may find the same matching.
     """
     for c in p.constants:
         if c not in g.nodes:
@@ -280,21 +289,28 @@ def _total(
     nodes: list[str | None] = [None] * n + list(p.constants)
     edges: list[str | None] = [None] * len(p.edge_vars)
     used: set[str] | None = set() if distinct_edges else None
-    last = len(p.edge_vars) - 1
+    last = len(slots) - 1
 
-    def grow(j: int, touched: bool) -> None:
-        if j > last:
-            results.append(Matching(tuple(edges), tuple(nodes[:n])))
-            return
-        take = touch if j == last and not touched else pool
-        for _ in _bind(g, slots[j], nodes, edges, used, j, take):
-            grow(j + 1, touched or edges[j] in touch)
+    def grow(i: int) -> None:
+        j = order[i]
+        bound = _bind(g, slots[j], nodes, edges, used, j, pools[j], None if i else scan)
+        if i < last:
+            for _ in bound:
+                grow(i + 1)
+        else:  # the leaves, emitted here rather than one call deeper each
+            for _ in bound:
+                results.append(Matching(tuple(edges), tuple(nodes[:n])))
 
-    grow(0, touch is None)
+    if last < 0:
+        results.append(Matching((), tuple(nodes[:n])))
+    else:
+        for order, pools in searches:
+            grow(0)
     fill = _isolated_fill(g, p)
     if fill is not None:
         results = [f for m in results for f in fill(m)]
-    results.sort(key=lambda m: (m.edges, m.nodes))
+    # a Matching is the tuple (edges, nodes), so it sorts as it is
+    results.sort()
     return results
 
 
@@ -304,7 +320,32 @@ def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False) -> li
     Output is sorted by bound edge ids in declaration order, then by node
     bindings, so results are reproducible.
     """
-    return _total(g, p, distinct_edges)
+    k = len(p.edge_vars)
+    return _total(g, p, distinct_edges, [(list(range(k)), [None] * k)])
+
+
+def _anchored_order(slots: list[_Slot], n: int, anchor: int) -> list[int]:
+    """The edge variables in binding order from ``anchor`` outward.
+
+    Each next variable is the first, in declaration order, that shares an
+    endpoint with a variable already placed or with a constant (node slots
+    from ``n`` on); when none does (a disconnected pattern), the first one
+    not yet placed.
+    """
+    order = [anchor]
+    rest = [*range(anchor), *range(anchor + 1, len(slots))]
+    reached = set(slots[anchor][:2])
+    while rest:
+        for j in rest:
+            sa, sb = slots[j][:2]
+            if sa in reached or sb in reached or sa >= n or sb >= n:
+                break
+        else:
+            j = rest[0]
+        rest.remove(j)
+        order.append(j)
+        reached.update(slots[j][:2])
+    return order
 
 
 def delta_match(
@@ -318,17 +359,27 @@ def delta_match(
     """Total matchings over ``old ∪ new`` that use at least one new edge.
 
     Equivalent to ``match_total`` over the union minus ``match_total`` over
-    the old history, computed in one join over the union: while no new edge
-    is bound, the last edge variable may bind only new edges, so no old-only
-    matching is completed.
+    the old history, computed by an anchored join: for each anchor edge
+    variable in declaration order, the anchor binds each fitting new edge
+    first and the join grows outward from it, variables declared before
+    the anchor taking only old edges and those after it old or new ones.
+    Each matching is thus found once, at its first variable bound to a new
+    edge.  ``old_history`` is read in place when it is a set or a dict.
     """
-    old = set(old_history)
+    old = old_history if isinstance(old_history, (set, frozenset, dict)) else set(old_history)
     new = set(new_edges)
-    if old & new:
+    if any(e in old for e in new):
         raise FormatError("new_edges must be disjoint from old_history")
     if not new or not p.edge_vars:
         return []
-    return _total(g, p, distinct_edges, old | new, new)
+    slots = _slot_table(p)
+    n, last = len(p.node_vars), len(slots) - 1
+    union = new.union(old) if last else new
+    searches = [
+        (_anchored_order(slots, n, a), [old] * a + [new] + [union] * (last - a))
+        for a in range(last + 1)
+    ]
+    return _total(g, p, distinct_edges, searches, [e for e in new if e in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +410,7 @@ def extend(
     belong to it.
     """
     new = set(new_edges)
-    if not new <= set(history):
+    if not new.issubset(history):
         raise FormatError("new_edges must be contained in history")
     if order is not None and sorted(order) != sorted(p.edge_vars):
         raise FormatError(f"order {order!r} is not a permutation of the edge variables")

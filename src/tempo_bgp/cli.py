@@ -49,7 +49,7 @@ def _parse_order(text, p):
     names = [s.strip() for s in text.split(",") if s.strip()]
     for name in names:
         if name not in p.edge_vars:
-            raise OrderNotConnected(f"order names unknown edge variable {name!r}")
+            raise FormatError(f"order names unknown edge variable {name!r}")
     return names
 
 

@@ -69,6 +69,20 @@ def test_match_disconnected_order_refused(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["match", "--graph", GRAPH_DIR, "--algo", "partial"], ["check-order"]]
+)
+@pytest.mark.parametrize("order", ["nope", "y1,nope", "y1"])
+def test_order_that_is_no_permutation_is_parse_error(command, order, capsys):
+    # an unknown name is as malformed as a missing one: exit 1, not a refusal
+    code = run_cli(
+        *command, "--bgp", bgp_file("cycle2"), "--ta", ta_file("ta2"), "--order", order
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "order" in err
+
+
 def test_match_flag_plumbing(capsys):
     code = run_cli(
         "match", "--graph", GRAPH_DIR, "--bgp", bgp_file("office"), "--ta", ta_file("ta6"),
