@@ -10,7 +10,9 @@ endpoint hash indices.  One backtracking step, ``_bind``, binds an edge
 variable for total, delta and partial matching alike, writing the position
 slots of ``Matching`` itself: node slots are the node variables, then one
 slot per constant pre-bound to its name.  ``match_total`` binds the edge
-variables in declaration order.  The delta join is anchored: for each
+variables in a connected order grown from the first one, so no variable
+scans the whole graph while a bound one could reach it through an
+endpoint index.  The delta join is anchored: for each
 anchor slot in declaration order it binds that slot to each fitting new
 edge first, then grows outward in a connected order, slots before the
 anchor taking only old edges and slots after it old or new ones, so each
@@ -269,6 +271,7 @@ def _isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matchi
 def _total(
     g: TemporalGraph,
     p: Bgp,
+    slots: list[_Slot],
     distinct_edges: bool,
     searches: Iterable[tuple[list[int], list[_Pool | None]]],
     scan: Iterable[str] | None = None,
@@ -284,7 +287,6 @@ def _total(
         if c not in g.nodes:
             return []
     results: list[Matching] = []
-    slots = _slot_table(p)
     n = len(p.node_vars)
     nodes: list[str | None] = [None] * n + list(p.constants)
     edges: list[str | None] = [None] * len(p.edge_vars)
@@ -320,8 +322,10 @@ def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False) -> li
     Output is sorted by bound edge ids in declaration order, then by node
     bindings, so results are reproducible.
     """
-    k = len(p.edge_vars)
-    return _total(g, p, distinct_edges, [(list(range(k)), [None] * k)])
+    slots = _slot_table(p)
+    k = len(slots)
+    order = _anchored_order(slots, len(p.node_vars), 0) if k else []
+    return _total(g, p, slots, distinct_edges, [(order, [None] * k)])
 
 
 def _anchored_order(slots: list[_Slot], n: int, anchor: int) -> list[int]:
@@ -379,7 +383,7 @@ def delta_match(
         (_anchored_order(slots, n, a), [old] * a + [new] + [union] * (last - a))
         for a in range(last + 1)
     ]
-    return _total(g, p, distinct_edges, searches, [e for e in new if e in g.edges])
+    return _total(g, p, slots, distinct_edges, searches, [e for e in new if e in g.edges])
 
 
 # ---------------------------------------------------------------------------

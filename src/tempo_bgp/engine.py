@@ -25,6 +25,14 @@ at once, and new ones whose initial state decides are settled on entry.
 Disabling ``early_exit`` changes counters, never results.  When the
 automaton idles on empty letters (``dead_start``), ``defer_start`` lets
 baseline and on-demand skip the letters before a matching's first edge.
+
+The core does work only where a letter or a state can change.  A row whose
+configurations all lie in idle states (``TimedAutomaton.idle``) is parked,
+once it has read an empty letter: it is not stepped again until a snapshot
+holds one of its bound edges, found through a wake index ``edge -> rows``.
+Parking changes no result and no counter.  A ``Trace`` records every row
+at every tick, so tracing turns parking off.
+
 Streams are checked: timepoints must be positive and strictly increasing
 (``FormatError``) and edges known to the graph (``ReferentialError``).
 """
@@ -56,10 +64,21 @@ from .timed_automaton import (
 )
 
 Stream = Iterator[tuple[float, frozenset[str]]]
+Configs = set[Config] | frozenset[Config]
 
 
 @dataclass
 class Counters:
+    """Work counters of one run.
+
+    ``rows`` counts every configuration advanced by one letter, including
+    the identity steps of parked rows, which are counted but not stepped;
+    ``generated`` counts the matchings found (for partial, the rows
+    ``extend`` added), ``early_rejected`` the rows dropped before the end
+    of the stream or refused on entry, and ``warnings`` the orders run
+    unordered because they could not be verified.
+    """
+
     rows: int = 0
     generated: int = 0
     early_rejected: int = 0
@@ -146,7 +165,25 @@ def _letter_bits(edges: Sequence[str | None], snap: frozenset[str]) -> int:
 
 
 class _Core:
-    """The stepping core: entry rule, one-letter tick, replay, end of stream.
+    """The stepping core: entry rule, working table, one-letter tick, replay, end of stream.
+
+    The working table holds busy rows, stepped at every tick, and parked
+    rows.  A row may park after a step that leaves every configuration it
+    holds in ``ta.idle``: an empty letter then leaves it unchanged, clocks
+    included (they are last-reset times), and its early-exit checks already
+    ran, so stepping it would change nothing.  A parked row is woken, at the
+    start of a tick, by a snapshot holding one of its bound edges, found
+    through the wake index ``edge -> rows``.
+
+    A row enters the index when it first parks and leaves it when dropped
+    or accepted, so busy rows come in two groups: ``busy`` rows, never
+    parked, and ``awake`` rows, woken and still indexed.  An awake row parks
+    after every idle step; a busy row parks only after an idle step on the
+    empty letter.  Indexing costs an entry per bound edge, which pays off
+    only for rows whose edges go quiet; on a busy graph rows seldom read an
+    empty letter, so they never enter the index and pay nothing new.  The
+    skipped identity steps still count in ``rows``.  Under a ``Trace``
+    nothing parks, so every row is recorded at every tick.
 
     ``partial`` is set when the table may hold partial matchings, which are
     never accepted; a table of total matchings needs no such test.
@@ -161,6 +198,12 @@ class _Core:
         self.accepted: dict[Matching, float] = {}
         # every new row shares this set; step never mutates its input
         self.seed = frozenset((ta.initial_config(),))
+        self.idle = ta.idle if trace is None else frozenset()
+        self.busy: dict[Matching, Configs] = {}
+        self.awake: dict[Matching, Configs] = {}
+        self.parked: dict[Matching, Configs] = {}
+        self.parked_configs = 0
+        self.wake: dict[str, set[Matching]] = {}
 
     def admit(self, batch: list[Matching], t: float) -> bool:
         """The entry rule: whether new matchings get rows or their initial state settles them."""
@@ -174,12 +217,24 @@ class _Core:
                 return False
         return True
 
-    def tick(self, table, snap, t):
-        """Advance every row one letter; returns the surviving table."""
+    def tick(self, snap, t) -> None:
+        """Advance every row one letter: wake the parked rows ``snap`` touches,
+        step the busy ones."""
+        if self.wake:
+            self._wake(snap)
+        self.counters.rows += self.parked_configs  # the parked rows' identity steps
+        if self.busy:
+            self.busy = self._step(self.busy, snap, t, False)
+        if self.awake:
+            self.awake = self._step(self.awake, snap, t, True)
+
+    def _step(self, rows: dict[Matching, Configs], snap, t, indexed: bool) -> dict:
+        """Step ``rows``, which are all in the wake index or all out of it;
+        returns those that stay busy."""
         ta, counters, accepted, trace = self.ta, self.counters, self.accepted, self.trace
-        early_exit, partial = self.early_exit, self.partial
-        nxt_table: dict[Matching, set[Config]] = {}
-        for m, configs in table.items():
+        early_exit, partial, idle, parked = self.early_exit, self.partial, self.idle, self.parked
+        busy: dict[Matching, Configs] = {}
+        for m, configs in rows.items():
             bits = _letter_bits(m.edges, snap)
             counters.rows += len(configs)
             nxt = step(ta, configs, bits, t)
@@ -191,32 +246,80 @@ class _Core:
                 elif ta.early_reject:
                     nxt = {c for c in nxt if c[0] not in ta.early_reject}
             if status == "alive":
-                if nxt:
-                    nxt_table[m] = nxt
-                else:
+                if not nxt:
                     status = "dropped"
                     counters.early_rejected += 1
+                    if indexed:
+                        self._unindex(m)
+                elif idle and (indexed or not bits) and all(s in idle for s, _ in nxt):
+                    parked[m] = nxt
+                    self.parked_configs += len(nxt)
+                    if not indexed:
+                        self._index(m)
+                else:
+                    busy[m] = nxt
+            elif indexed:
+                self._unindex(m)
             if trace is not None:
                 trace.add_row(t, m, bits, nxt, status)
-        return nxt_table
+        return busy
 
-    def replay(self, entering: dict[int, list[Matching]], snapshots) -> dict:
+    def _wake(self, snap: frozenset[str]) -> None:
+        """Move the parked rows binding an edge of ``snap`` to the awake rows."""
+        wake, parked, awake = self.wake, self.parked, self.awake
+        # iterate the smaller side: the index is often far smaller than a snapshot
+        if len(snap) < len(wake):
+            hits = [wake[e] for e in snap if e in wake]
+        else:
+            hits = [rows for e, rows in wake.items() if e in snap]
+        for rows in hits:
+            for m in rows:
+                configs = parked.pop(m, None)
+                if configs is not None:
+                    awake[m] = configs
+                    self.parked_configs -= len(configs)
+
+    def _index(self, m: Matching) -> None:
+        for e in m.edges:
+            if e is not None:
+                self.wake.setdefault(e, set()).add(m)
+
+    def _unindex(self, m: Matching) -> None:
+        wake = self.wake
+        for e in m.edges:
+            rows = wake.get(e)  # None for an unbound edge, or one bound twice and gone
+            if rows is not None:
+                rows.discard(m)
+                if not rows:
+                    del wake[e]
+
+    def rows(self) -> dict[Matching, Configs]:
+        """Every row and its configurations, busy or parked."""
+        return self.busy | self.awake | self.parked
+
+    def replay(self, entering: dict[int, list[Matching]], snapshots) -> None:
         """Seed ``entering[i]`` before ``snapshots[i]`` (after the last one for
-        ``i == len(snapshots)``) and step to the end; returns the surviving table."""
-        table, seed, n = {}, self.seed, len(snapshots)
+        ``i == len(snapshots)``) and step to the end."""
+        seed, n = self.seed, len(snapshots)
         for i in range(min(entering, default=n), n):
             if i in entering:
-                table.update(zip(entering[i], repeat(seed)))
-            if table:
+                self.busy.update(zip(entering[i], repeat(seed)))
+            if self.busy or self.awake or self.parked:
                 t, snap = snapshots[i]
-                table = self.tick(table, snap, t)
-        table.update(zip(entering.get(n, ()), repeat(seed)))
-        return table
+                self.tick(snap, t)
+        self.busy.update(zip(entering.get(n, ()), repeat(seed)))
 
-    def finish(self, table, t: float) -> EngineResult:
+    def take_rows(self) -> dict[Matching, Configs]:
+        """Every row, as ``rows``; the table is left empty."""
+        rows = self.rows()
+        self.busy, self.awake, self.parked, self.wake = {}, {}, {}, {}
+        self.parked_configs = 0
+        return rows
+
+    def finish(self, t: float) -> EngineResult:
         """End of stream: rows holding an accepting configuration are accepted at ``t``."""
         accepting, partial, accepted = self.ta.accepting, self.partial, self.accepted
-        for m, configs in table.items():
+        for m, configs in self.rows().items():
             if (not partial or m.is_total()) and any(s in accepting for s, _ in configs):
                 accepted[m] = t
         # accepted matchings are total and distinct, so they sort as they are
@@ -285,7 +388,8 @@ def run_baseline(
         first = {e: r - 1 for e, r in g.first_rank.items()}
         use_defer = defer_start and ta.dead_start
         entering = _by_entry(matchings, first, len(snapshots)) if use_defer else {0: matchings}
-    return core.finish(core.replay(entering, snapshots), g.domain[-1] if g.domain else 0.0)
+    core.replay(entering, snapshots)
+    return core.finish(g.domain[-1] if g.domain else 0.0)
 
 
 def run_on_demand(
@@ -310,7 +414,6 @@ def run_on_demand(
     # catch-up keeps its own acceptances (restamped at discovery) and rows
     catch_up = _Core(ta, early_exit, None if trace is None else Trace(), counters=core.counters)
     use_defer = defer_start and ta.dead_start
-    table: dict[Matching, set[Config]] = {}
     past: list[tuple[float, frozenset[str]]] = []
     first: dict[str, int] = {}  # edge -> index in past of the snapshot that first held it
     t = 0.0
@@ -320,15 +423,17 @@ def run_on_demand(
             core.counters.generated += len(batch)
             if batch and core.admit(batch, t):
                 entering = _by_entry(batch, first, len(past)) if use_defer else {0: batch}
-                table.update(catch_up.replay(entering, past))
+                catch_up.replay(entering, past)
+                # the survivors are stepped on this snapshot, which holds their new edge
+                core.busy.update(catch_up.take_rows())
                 core.accepted.update(zip(catch_up.accepted, repeat(t)))
                 catch_up.accepted.clear()
                 if trace is not None:
                     _record_catch_up(trace, catch_up.trace, batch, t, core.seed)
             first.update(zip(new_edges, repeat(len(past))))
-        table = core.tick(table, snap, t)
+        core.tick(snap, t)
         past.append((t, snap))
-    return core.finish(table, t)
+    return core.finish(t)
 
 
 def _record_catch_up(trace: Trace, replayed: Trace, batch, t, seed) -> None:
@@ -376,23 +481,25 @@ def run_partial_match(
             core.counters.warnings += 1
             order = None
 
-    table: dict[Matching, frozenset[Config] | set[Config]] = {empty_matching(p): core.seed}
+    core.busy[empty_matching(p)] = core.seed
     if trace is not None:
         trace.add_row(0.0, empty_matching(p), 0, core.seed, "alive")
     history: set[str] = set()
     t = 0.0
     for t, snap, new_edges in _snapshots(g, stream, history):
-        if new_edges and table:
+        if new_edges and (table := core.rows()):
             pairs = extend(
                 g, p, list(table), new_edges, history, order=order, distinct_edges=distinct_edges
             )
-            # one identity pair per row, the rest are new rows (no two alike:
-            # an extension's older edges are exactly its source row's); step
-            # never mutates a set, so rows share their source's configurations
+            # one identity pair per row, the rest are new busy rows (no two
+            # alike: an extension's older edges are exactly its source row's);
+            # step never mutates a set, so rows share their source's configurations
             core.counters.generated += len(pairs) - len(table)
-            table = {new: table[old] for old, new in pairs}
-        table = core.tick(table, snap, t)
-    return core.finish(table, t)
+            for old, new in pairs:
+                if new is not old:
+                    core.busy[new] = table[old]
+        core.tick(snap, t)
+    return core.finish(t)
 
 
 ALGORITHMS = ("baseline", "on-demand", "partial")

@@ -85,9 +85,11 @@ class TimedAutomaton:
     every letter with a guard-free transition, so no run from there can die
     or end badly.  ``early_reject`` holds states from which no accepting
     state is even optimistically reachable.  Both are therefore sound
-    under-approximations.  ``dead_start`` is set when the only transitions
-    the initial state enables on the all-zero letter are guard-free,
-    reset-free self-loops, making idle prefixes skippable.
+    under-approximations.  ``idle`` holds the states whose moves on the
+    all-zero letter exist and are all guard-free, reset-free self-loops: an
+    empty letter leaves a configuration there unchanged, clocks included,
+    so runs resting in idle states may skip empty letters.  ``dead_start``
+    is set when the initial state is idle, making idle prefixes skippable.
     """
 
     def __init__(
@@ -115,7 +117,13 @@ class TimedAutomaton:
         self._moves: dict[tuple[int, int], tuple[Transition, ...]] = {}
 
         self.early_accept, self.early_reject = classify_states(self)
-        self.dead_start = self._detect_dead_start()
+        self.idle = frozenset(
+            s
+            for s in range(n_states)
+            if (zero := self.transitions_from(s, 0))
+            and all(tr.dst == s and not tr.guard and not tr.resets for tr in zero)
+        )
+        self.dead_start = initial in self.idle
 
     def _validate(self) -> None:
         if not 0 <= self.initial < self.n_states:
@@ -149,12 +157,6 @@ class TimedAutomaton:
 
     def initial_config(self) -> Config:
         return (self.initial, (0.0,) * self.n_clocks)
-
-    def _detect_dead_start(self) -> bool:
-        zero_enabled = self.transitions_from(self.initial, 0)
-        return bool(zero_enabled) and all(
-            tr.dst == self.initial and not tr.guard and not tr.resets for tr in zero_enabled
-        )
 
 
 def step(ta: TimedAutomaton, configs: Iterable[Config], letter: int, now: float) -> set[Config]:

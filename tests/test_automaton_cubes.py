@@ -190,7 +190,7 @@ def test_width_24_automata_construct_and_answer():
     rng = SplitMix64(24)
     noise = [(float(t), rng.randint(0, (1 << wide) - 1)) for t in range(1, 50)]
     assert accepts(anything, noise)
-    # only the (state, letter) pairs actually read, the zero letter that
-    # dead_start reads included, are in the move tables
+    # only the (state, letter) pairs actually read, the zero letters that
+    # idle reads included, are in the move tables
     assert len(anything._moves) <= len(noise) + 1
     assert len(ring._moves) <= 2 * wide + 1

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tempo_bgp
+import tempo_bgp.bgp as bgp_module
 from tempo_bgp import (
     build_graph,
     delta_match,
@@ -24,6 +25,7 @@ from tempo_bgp import (
 )
 from tempo_bgp.oracle import oracle_enumerate_partials
 from tempo_bgp.rng import SplitMix64
+from tempo_bgp.workbench import GenSpec, generate_graph
 
 PATTERNS = {
     "self_loop": "node x\nnode z\nedge y1 : x -> x\nedge y2 : x -> z\n",
@@ -41,6 +43,12 @@ PATTERNS = {
     # no edge variable reaches another: anchored at y2, the order falls
     # back to y1, the first variable not yet placed
     "disconnected": "node x1\nnode x2\nnode x3\nnode x4\nedge y1 : x1 -> x2\nedge y2 : x3 -> x4\n",
+    # a path declared out of order: match_total binds y3 before y2, which
+    # then reaches through both endpoints instead of scanning every edge
+    "path3_disconnected_declared": (
+        "node x1\nnode x2\nnode x3\nnode x4\n"
+        "edge y1 : x1 -> x2\nedge y2 : x3 -> x4\nedge y3 : x2 -> x3\n"
+    ),
     # anchored at y1, the join grows both ways: back to the constant
     # through y2, on to the self-loop through y3
     "branch": (
@@ -87,6 +95,30 @@ def test_match_total_agrees_with_oracle(name, distinct):
         assert match_total(g, p, distinct_edges=distinct) == oracle_match(
             g, p, distinct_edges=distinct
         ), seed
+
+
+def test_match_total_work_does_not_follow_declaration_order(monkeypatch):
+    # the same path declared connected and out of order costs the same
+    # number of bind steps: the search grows from y1 through shared endpoints
+    g = generate_graph(GenSpec(12, 0.5, 0.5, 5, seed=1))
+    connected = parse_bgp(
+        "node x1\nnode x2\nnode x3\nnode x4\n"
+        "edge y1 : x1 -> x2\nedge y2 : x2 -> x3\nedge y3 : x3 -> x4\n"
+    )
+    calls = [0]
+    bind = bgp_module._bind
+
+    def counting_bind(*args):
+        calls[0] += 1
+        return bind(*args)
+
+    monkeypatch.setattr(bgp_module, "_bind", counting_bind)
+    work = []
+    for p in (connected, parse_bgp(PATTERNS["path3_disconnected_declared"])):
+        calls[0] = 0
+        assert len(match_total(g, p)) > 100
+        work.append(calls[0])
+    assert work[0] == work[1]
 
 
 @pytest.mark.parametrize("distinct", [False, True])
