@@ -33,6 +33,14 @@ holds one of its bound edges, found through a wake index ``edge -> rows``.
 Parking changes no result and no counter.  A ``Trace`` records every row
 at every tick, so tracing turns parking off.
 
+Rows holding equal configuration sets that read the same letter are
+stepped once: the core's move table maps ``(configs, letter)`` to the
+stepped set, the set early exit keeps, and whether those touch an
+early-accept state or may park.  Without clocks ``step`` never reads the
+time, so the table lives for the whole run, a lazy subset construction;
+with clocks it is cleared at every tick.  Acceptance stays per row, since
+a partial matching touching an early-accept state is filtered instead.
+
 Streams are checked: timepoints must be positive and strictly increasing
 (``FormatError``) and edges known to the graph (``ReferentialError``).
 """
@@ -64,7 +72,10 @@ from .timed_automaton import (
 )
 
 Stream = Iterator[tuple[float, frozenset[str]]]
-Configs = set[Config] | frozenset[Config]
+Configs = frozenset[Config]
+# a move-table entry: the stepped set, the set early exit keeps, whether the
+# stepped set touches an early-accept state, whether the kept set may park
+_Move = tuple[Configs, Configs, bool, bool]
 
 
 @dataclass
@@ -187,6 +198,16 @@ class _Core:
 
     ``partial`` is set when the table may hold partial matchings, which are
     never accepted; a table of total matchings needs no such test.
+
+    Rows hold frozensets shared with the move table ``moves``, keyed by
+    value: ``(configs, letter)`` maps to the stepped set, the set early
+    exit keeps (early-reject states filtered out), whether the stepped set
+    touches an early-accept state and whether the kept set lies in
+    ``idle``.  A hit reuses all four; the letter, the ``rows`` count, the
+    ``is_total`` test before accepting, and parking and the wake index
+    stay per row.  A clockless table lives for the whole run; a clocked
+    one is cleared at every tick, since guards and resets read the time.
+    The on-demand catch-up core has a table of its own.
     """
 
     def __init__(self, ta, early_exit, trace, *, partial=False, counters=None):
@@ -196,9 +217,10 @@ class _Core:
         self.partial = partial
         self.counters = Counters() if counters is None else counters
         self.accepted: dict[Matching, float] = {}
-        # every new row shares this set; step never mutates its input
+        # every new row shares this set, as rows share the move table's
         self.seed = frozenset((ta.initial_config(),))
         self.idle = ta.idle if trace is None else frozenset()
+        self.moves: dict[tuple[Configs, int], _Move] = {}
         self.busy: dict[Matching, Configs] = {}
         self.awake: dict[Matching, Configs] = {}
         self.parked: dict[Matching, Configs] = {}
@@ -220,6 +242,8 @@ class _Core:
     def tick(self, snap, t) -> None:
         """Advance every row one letter: wake the parked rows ``snap`` touches,
         step the busy ones."""
+        if self.ta.n_clocks:  # guards and resets read t
+            self.moves.clear()
         if self.wake:
             self._wake(snap)
         self.counters.rows += self.parked_configs  # the parked rows' identity steps
@@ -231,27 +255,29 @@ class _Core:
     def _step(self, rows: dict[Matching, Configs], snap, t, indexed: bool) -> dict:
         """Step ``rows``, which are all in the wake index or all out of it;
         returns those that stay busy."""
-        ta, counters, accepted, trace = self.ta, self.counters, self.accepted, self.trace
-        early_exit, partial, idle, parked = self.early_exit, self.partial, self.idle, self.parked
+        counters, accepted, trace = self.counters, self.accepted, self.trace
+        moves, partial, parked = self.moves, self.partial, self.parked
         busy: dict[Matching, Configs] = {}
         for m, configs in rows.items():
             bits = _letter_bits(m.edges, snap)
             counters.rows += len(configs)
-            nxt = step(ta, configs, bits, t)
+            move = moves.get((configs, bits))
+            if move is None:
+                move = moves[configs, bits] = self._move(configs, bits, t)
+            nxt, kept, touches_accept, rests = move
             status = "alive"
-            if early_exit and nxt:
-                if (not partial or m.is_total()) and any(s in ta.early_accept for s, _ in nxt):
-                    accepted[m] = t
-                    status = "accepted"
-                elif ta.early_reject:
-                    nxt = {c for c in nxt if c[0] not in ta.early_reject}
+            if touches_accept and (not partial or m.is_total()):
+                accepted[m] = t
+                status = "accepted"
+            else:
+                nxt = kept
             if status == "alive":
                 if not nxt:
                     status = "dropped"
                     counters.early_rejected += 1
                     if indexed:
                         self._unindex(m)
-                elif idle and (indexed or not bits) and all(s in idle for s, _ in nxt):
+                elif rests and (indexed or not bits):
                     parked[m] = nxt
                     self.parked_configs += len(nxt)
                     if not indexed:
@@ -263,6 +289,19 @@ class _Core:
             if trace is not None:
                 trace.add_row(t, m, bits, nxt, status)
         return busy
+
+    def _move(self, configs: Configs, letter: int, t: float) -> _Move:
+        """Step ``configs`` on ``letter`` at ``t`` and work out what every row
+        holding them would check next."""
+        ta, idle = self.ta, self.idle
+        nxt = frozenset(step(ta, configs, letter, t))
+        kept, touches_accept = nxt, False
+        if self.early_exit and nxt:
+            touches_accept = any(s in ta.early_accept for s, _ in nxt)
+            if ta.early_reject:
+                kept = frozenset(c for c in nxt if c[0] not in ta.early_reject)
+        rests = all(s in idle for s, _ in kept)  # an empty set is dropped first
+        return nxt, kept, touches_accept, rests
 
     def _wake(self, snap: frozenset[str]) -> None:
         """Move the parked rows binding an edge of ``snap`` to the awake rows."""
@@ -493,7 +532,7 @@ def run_partial_match(
             )
             # one identity pair per row, the rest are new busy rows (no two
             # alike: an extension's older edges are exactly its source row's);
-            # step never mutates a set, so rows share their source's configurations
+            # configurations are frozensets, so rows share their source's
             core.counters.generated += len(pairs) - len(table)
             for old, new in pairs:
                 if new is not old:

@@ -234,5 +234,7 @@ def write_graph_dir(directory, g: TemporalGraph) -> None:
 
 
 def format_time(t: float) -> str:
-    """Render a timepoint without a trailing ``.0`` for whole numbers."""
-    return f"{t:g}"
+    """Render a timepoint in its shortest form that reads back exactly,
+    without a trailing ``.0`` for whole numbers."""
+    text = repr(t)
+    return text[:-2] if text.endswith(".0") else text

@@ -115,6 +115,26 @@ def test_match_prints_isolated_node_bindings(algo, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("algo", ["baseline", "on-demand", "partial"])
+def test_match_prints_large_timepoints_exactly(algo, tmp_path, capsys):
+    # y2 follows y1 one unit later, past six significant digits
+    from tempo_bgp.temporal_graph import build_graph, write_graph_dir
+
+    g = build_graph(
+        {"a": "n", "b": "n", "c": "n"},
+        {"e1": ("a", "b", "e"), "e2": ("b", "c", "e")},
+        {"e1": [1000001.0], "e2": [1000002.0]},
+    )
+    write_graph_dir(tmp_path / "g", g)
+    code = run_cli(
+        "match", "--graph", str(tmp_path / "g"), "--bgp", bgp_file("path2"),
+        "--ta", ta_file("tae"), "--algo", algo,
+    )
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "ACCEPT t=1000002 y1=e1 y2=e2"
+
+
 def test_check_order_report(capsys):
     assert run_cli(
         "check-order", "--bgp", bgp_file("path3"), "--ta", ta_file("ta4"),

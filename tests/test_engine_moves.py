@@ -1,0 +1,162 @@
+"""The move table: the stepping core steps each distinct (configurations, letter) once.
+
+``_Core`` keeps one table ``(configs, letter) -> move`` for every row it
+steps.  A clockless table lives for the whole run; a clocked one holds
+one tick's moves only, since guards and resets read the time.  What a
+move cannot know stays per row: a partial matching touching an
+early-accept state is filtered, never accepted.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import tempo_bgp.engine as engine_module
+from tempo_bgp import (
+    Trace,
+    build_graph,
+    oracle_accepted_matchings,
+    parse_bgp,
+    run_baseline,
+    run_on_demand,
+    run_partial_match,
+    step,
+)
+from tempo_bgp.fixtures import load_ta
+from tempo_bgp.timed_automaton import TimedAutomaton, Transition
+from tempo_bgp.workbench import GenSpec, generate_graph, shape_bgp
+
+ENGINES = {
+    "baseline": run_baseline,
+    "on-demand": run_on_demand,
+    "partial": run_partial_match,
+}
+
+
+# -- a machine-independent guard: equal moves are stepped once ---------------
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize(
+    "spec, shape, automaton",
+    [
+        (GenSpec(10, 0.5, 0.3, 100, seed=7), "path2", "ta7"),  # one clock
+        (GenSpec(12, 0.5, 0.5, 15, seed=1), "cycle4", "ta0_m4"),  # clockless
+    ],
+    ids=["clocked", "clockless"],
+)
+def test_equal_moves_are_stepped_once(name, spec, shape, automaton, monkeypatch):
+    g, p, ta = generate_graph(spec), shape_bgp(shape), load_ta(automaton)
+    calls = [0]
+
+    def counting_step(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(engine_module, "step", counting_step)
+    res = ENGINES[name](g, p, ta)
+    assert res.counters.rows > 1000
+    assert calls[0] <= res.counters.rows / 10, (calls[0], res.counters.rows)
+
+
+# -- the table's scope --------------------------------------------------------
+
+
+# one edge variable: a second activation within 2 units of the first
+# accepts, a later one kills the run
+WITHIN2 = TimedAutomaton(
+    3,
+    0,
+    [2],
+    1,
+    1,
+    [
+        Transition(0, "0", (), (), 0),
+        Transition(0, "1", (), (0,), 1),
+        Transition(1, "0", (), (), 1),
+        Transition(1, "1", ((0, "<", 2.0),), (), 2),
+        Transition(2, "*", (), (), 2),
+    ],
+)
+# both edges start at t=1, so their rows hold equal sets at t=2 and t=4,
+# where each reads its second activation
+WITHIN2_GRAPH = {
+    "nodes": {"a": "n", "b": "n"},
+    "edges": {"e1": ("a", "b", "e"), "e2": ("b", "a", "e")},
+    "active": {"e1": [1.0, 2.0], "e2": [1.0, 4.0]},
+}
+ONE_EDGE = "node x1\nnode x2\nedge y1 : x1 -> x2\n"
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_a_clocked_move_is_not_reused_at_a_later_tick(name, early_exit):
+    g, p = build_graph(**WITHIN2_GRAPH), parse_bgp(ONE_EDGE)
+    trace = Trace()
+    res = ENGINES[name](g, p, WITHIN2, early_exit=early_exit, trace=trace)
+    untraced = ENGINES[name](g, p, WITHIN2, early_exit=early_exit)
+    assert res.accepted == untraced.accepted
+    assert [m.edges for m in res.accepted_set] == [("e1",)]
+    assert res.accepted[0][1] == (2.0 if early_exit else 4.0)
+    held = {r.matching.edges: r.configs for r in trace.rows if r.t == 2.0}
+    assert held[("e2",)] == ((1, (1.0,)),)  # the set e1 read its letter 1 from at t=2
+    late = [r for r in trace.rows if r.t == 4.0 and r.matching.edges == ("e2",)]
+    assert [(r.letter, r.configs, r.status) for r in late] == [(1, (), "dropped")]
+
+
+# y1 active moves the initial state to accepting state 1, which is early
+# accept, and to state 3, which is early reject; y2 is never read
+ACCEPT_ON_Y1 = TimedAutomaton(
+    4,
+    0,
+    [1],
+    0,
+    2,
+    [
+        Transition(0, "0*", (), (), 0),
+        Transition(0, "1*", (), (), 1),
+        Transition(0, "1*", (), (), 3),
+        Transition(1, "**", (), (), 1),
+        Transition(3, "**", (), (), 3),
+    ],
+)
+# path2 y1 : x1 -> x2, y2 : x2 -> x3.  At t=2 the partial row y1=e1 and the
+# total row y1=e1, y2=e2 both enter holding {(0, ())} and read y1 active
+ACCEPT_ON_Y1_GRAPH = {
+    "nodes": {"a": "n", "b": "n", "c": "n"},
+    "edges": {"e1": ("a", "b", "e"), "e2": ("b", "c", "e"), "e3": ("c", "a", "e")},
+    "active": {"e1": [2.0], "e2": [1.0], "e3": [3.0]},
+}
+
+
+def test_acceptance_stays_per_row():
+    assert ACCEPT_ON_Y1.early_accept == {1} and 3 in ACCEPT_ON_Y1.early_reject
+    g, p = build_graph(**ACCEPT_ON_Y1_GRAPH), shape_bgp("path2")
+    trace = Trace()
+    res = run_partial_match(g, p, ACCEPT_ON_Y1, trace=trace)
+    at2 = {r.matching.edges: r for r in trace.rows if r.t == 2.0}
+    partial, total = at2[("e1", None)], at2[("e1", "e2")]
+    assert (partial.letter, total.letter) == (1, 1)
+    # the total row is accepted with the stepped set, the partial row
+    # lives on with the set early exit keeps
+    assert (total.status, total.configs) == ("accepted", ((1, ()), (3, ())))
+    assert (partial.status, partial.configs) == ("alive", ((1, ()),))
+    assert all(m.is_total() for m in res.accepted_set)
+    assert {m.edges: t for m, t in res.accepted} == {
+        ("e1", "e2"): 2.0,
+        ("e2", "e3"): 3.0,
+        ("e3", "e1"): 3.0,
+    }
+    assert res.accepted == run_partial_match(g, p, ACCEPT_ON_Y1).accepted
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("early_exit", [True, False])
+@pytest.mark.parametrize("case", ["within2", "accept-on-y1"])
+def test_the_hand_built_cases_agree_with_the_oracle(name, early_exit, case):
+    if case == "within2":
+        g, p, ta = build_graph(**WITHIN2_GRAPH), parse_bgp(ONE_EDGE), WITHIN2
+    else:
+        g, p, ta = build_graph(**ACCEPT_ON_Y1_GRAPH), shape_bgp("path2"), ACCEPT_ON_Y1
+    res = ENGINES[name](g, p, ta, early_exit=early_exit)
+    assert res.accepted_set == set(oracle_accepted_matchings(g, p, ta))

@@ -13,7 +13,7 @@ from tempo_bgp import (
     load_graph,
     snapshot,
 )
-from tempo_bgp.temporal_graph import format_time
+from tempo_bgp.temporal_graph import format_time, load_graph_dir, write_graph_dir
 
 GRAPH_DIR_DOMAIN = (1.0, 1.1, 1.9, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0)
 
@@ -137,3 +137,17 @@ def test_node_edge_id_spaces_disjoint():
 def test_format_time():
     assert format_time(9.0) == "9"
     assert format_time(1.1) == "1.1"
+
+
+def test_write_and_load_keep_every_timepoint(tmp_path):
+    # six significant digits would write 1000001 and 1000002 both as 1e+06
+    times = [1000001.0, 1000002.0, 1.6e9 + 0.5, 0.1234567]
+    g = build_graph(
+        {"a": "n", "b": "n"},
+        {"e1": ("a", "b", "e"), "e2": ("b", "a", "e")},
+        {"e1": times[:2], "e2": times[2:]},
+    )
+    write_graph_dir(tmp_path, g)
+    back = load_graph_dir(tmp_path)
+    assert back.domain == g.domain == tuple(sorted(times))
+    assert back.active == g.active
