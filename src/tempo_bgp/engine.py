@@ -30,8 +30,8 @@ The core does work only where a letter or a state can change.  A row whose
 configurations all lie in idle states (``TimedAutomaton.idle``) is parked,
 once it has read an empty letter: it is not stepped again until a snapshot
 holds one of its bound edges, found through a wake index ``edge -> rows``.
-Parking changes no result and no counter.  A ``Trace`` records every row
-at every tick, so tracing turns parking off.
+Parking changes no result and no counter, and tracing changes no step: a
+``Trace`` records a parked row as it stands at every tick it skips.
 
 Rows holding equal configuration sets that read the same letter are
 stepped once: the core's move table maps ``(configs, letter)`` to the
@@ -127,7 +127,11 @@ class CatchUpEvent:
 
 @dataclass
 class Trace:
-    """Optional per-tick recording, for tests and debugging only."""
+    """Optional per-tick recording, for tests and debugging only.
+
+    Every row gets one ``RowTrace`` per tick; within a tick, parked rows
+    come first, recorded as they stand (letter 0, ``"alive"``).
+    """
 
     rows: list[RowTrace] = field(default_factory=list)
     events: list[CatchUpEvent] = field(default_factory=list)
@@ -193,34 +197,32 @@ class _Core:
     empty letter.  Indexing costs an entry per bound edge, which pays off
     only for rows whose edges go quiet; on a busy graph rows seldom read an
     empty letter, so they never enter the index and pay nothing new.  The
-    skipped identity steps still count in ``rows``.  Under a ``Trace``
-    nothing parks, so every row is recorded at every tick.
-
-    ``partial`` is set when the table may hold partial matchings, which are
-    never accepted; a table of total matchings needs no such test.
+    skipped identity steps still count in ``rows``, and a ``Trace`` records
+    each parked row as it stands.
 
     Rows hold frozensets shared with the move table ``moves``, keyed by
     value: ``(configs, letter)`` maps to the stepped set, the set early
     exit keeps (early-reject states filtered out), whether the stepped set
     touches an early-accept state and whether the kept set lies in
     ``idle``.  A hit reuses all four; the letter, the ``rows`` count, the
-    ``is_total`` test before accepting, and parking and the wake index
-    stay per row.  A clockless table lives for the whole run; a clocked
-    one is cleared at every tick, since guards and resets read the time.
-    The on-demand catch-up core has a table of its own.
+    ``is_total`` test before accepting (a partial matching never is), and
+    parking and the wake index stay per row.  A clockless table lives for
+    the whole run; a clocked one is cleared at every tick, since guards
+    and resets read the time.  A move depends only on the automaton and
+    ``early_exit``, so an on-demand catch-up core, built per batch, takes
+    its ``parent``'s table and counters; its ticks clear the shared table
+    too, so no time's moves leak into another.
     """
 
-    def __init__(self, ta, early_exit, trace, *, partial=False, counters=None):
+    def __init__(self, ta, early_exit, trace, parent: _Core | None = None):
         self.ta = ta
         self.early_exit = early_exit
         self.trace = trace
-        self.partial = partial
-        self.counters = Counters() if counters is None else counters
+        self.counters = Counters() if parent is None else parent.counters
+        self.moves: dict[tuple[Configs, int], _Move] = {} if parent is None else parent.moves
         self.accepted: dict[Matching, float] = {}
         # every new row shares this set, as rows share the move table's
         self.seed = frozenset((ta.initial_config(),))
-        self.idle = ta.idle if trace is None else frozenset()
-        self.moves: dict[tuple[Configs, int], _Move] = {}
         self.busy: dict[Matching, Configs] = {}
         self.awake: dict[Matching, Configs] = {}
         self.parked: dict[Matching, Configs] = {}
@@ -247,6 +249,9 @@ class _Core:
         if self.wake:
             self._wake(snap)
         self.counters.rows += self.parked_configs  # the parked rows' identity steps
+        if self.trace is not None:
+            for m, configs in self.parked.items():
+                self.trace.add_row(t, m, 0, configs, "alive")
         if self.busy:
             self.busy = self._step(self.busy, snap, t, False)
         if self.awake:
@@ -256,7 +261,7 @@ class _Core:
         """Step ``rows``, which are all in the wake index or all out of it;
         returns those that stay busy."""
         counters, accepted, trace = self.counters, self.accepted, self.trace
-        moves, partial, parked = self.moves, self.partial, self.parked
+        moves, parked = self.moves, self.parked
         busy: dict[Matching, Configs] = {}
         for m, configs in rows.items():
             bits = _letter_bits(m.edges, snap)
@@ -266,7 +271,7 @@ class _Core:
                 move = moves[configs, bits] = self._move(configs, bits, t)
             nxt, kept, touches_accept, rests = move
             status = "alive"
-            if touches_accept and (not partial or m.is_total()):
+            if touches_accept and m.is_total():
                 accepted[m] = t
                 status = "accepted"
             else:
@@ -293,7 +298,7 @@ class _Core:
     def _move(self, configs: Configs, letter: int, t: float) -> _Move:
         """Step ``configs`` on ``letter`` at ``t`` and work out what every row
         holding them would check next."""
-        ta, idle = self.ta, self.idle
+        ta, idle = self.ta, self.ta.idle
         nxt = frozenset(step(ta, configs, letter, t))
         kept, touches_accept = nxt, False
         if self.early_exit and nxt:
@@ -348,18 +353,11 @@ class _Core:
                 self.tick(snap, t)
         self.busy.update(zip(entering.get(n, ()), repeat(seed)))
 
-    def take_rows(self) -> dict[Matching, Configs]:
-        """Every row, as ``rows``; the table is left empty."""
-        rows = self.rows()
-        self.busy, self.awake, self.parked, self.wake = {}, {}, {}, {}
-        self.parked_configs = 0
-        return rows
-
     def finish(self, t: float) -> EngineResult:
         """End of stream: rows holding an accepting configuration are accepted at ``t``."""
-        accepting, partial, accepted = self.ta.accepting, self.partial, self.accepted
+        accepting, accepted = self.ta.accepting, self.accepted
         for m, configs in self.rows().items():
-            if (not partial or m.is_total()) and any(s in accepting for s, _ in configs):
+            if any(s in accepting for s, _ in configs) and m.is_total():
                 accepted[m] = t
         # accepted matchings are total and distinct, so they sort as they are
         return EngineResult(sorted(accepted.items()), self.counters)
@@ -450,8 +448,6 @@ def run_on_demand(
     _check_width(p, ta)
     _check_streamable(p)
     core = _Core(ta, early_exit, trace)
-    # catch-up keeps its own acceptances (restamped at discovery) and rows
-    catch_up = _Core(ta, early_exit, None if trace is None else Trace(), counters=core.counters)
     use_defer = defer_start and ta.dead_start
     past: list[tuple[float, frozenset[str]]] = []
     first: dict[str, int] = {}  # edge -> index in past of the snapshot that first held it
@@ -462,11 +458,12 @@ def run_on_demand(
             core.counters.generated += len(batch)
             if batch and core.admit(batch, t):
                 entering = _by_entry(batch, first, len(past)) if use_defer else {0: batch}
+                # catch-up keeps its own acceptances (restamped at discovery) and rows
+                catch_up = _Core(ta, early_exit, None if trace is None else Trace(), core)
                 catch_up.replay(entering, past)
                 # the survivors are stepped on this snapshot, which holds their new edge
-                core.busy.update(catch_up.take_rows())
+                core.busy.update(catch_up.rows())
                 core.accepted.update(zip(catch_up.accepted, repeat(t)))
-                catch_up.accepted.clear()
                 if trace is not None:
                     _record_catch_up(trace, catch_up.trace, batch, t, core.seed)
             first.update(zip(new_edges, repeat(len(past))))
@@ -484,7 +481,6 @@ def _record_catch_up(trace: Trace, replayed: Trace, batch, t, seed) -> None:
             trace.add_event(m, t, seed, None)
         else:
             trace.add_event(m, t, r.configs, r.t if r.status == "dropped" else None)
-    replayed.rows.clear()
 
 
 def run_partial_match(
@@ -508,7 +504,7 @@ def run_partial_match(
     """
     _check_width(p, ta)
     _check_streamable(p)
-    core = _Core(ta, early_exit, trace, partial=True)
+    core = _Core(ta, early_exit, trace)
     if order is not None:
         order = tuple(order)
         if not is_connected_order(p, order):

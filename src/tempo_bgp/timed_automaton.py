@@ -126,6 +126,8 @@ class TimedAutomaton:
         self.dead_start = initial in self.idle
 
     def _validate(self) -> None:
+        if self.n_clocks < 0 or self.width < 0:
+            raise FormatError(f"clock count {self.n_clocks} or width {self.width} is negative")
         if not 0 <= self.initial < self.n_states:
             raise FormatError(f"initial state {self.initial} out of range")
         for s in self.accepting:
@@ -167,13 +169,9 @@ def step(ta: TimedAutomaton, configs: Iterable[Config], letter: int, now: float)
     run died.
     """
     out: set[Config] = set()
-    moves = ta._moves
     n_clocks = ta.n_clocks
     for state, last_reset in configs:
-        enabled = moves.get((state, letter))
-        if enabled is None:
-            enabled = ta.transitions_from(state, letter)
-        for tr in enabled:
+        for tr in ta.transitions_from(state, letter):
             if tr.guard and not eval_clock_guard(tr.guard, last_reset, now):
                 continue
             if tr.resets:

@@ -104,6 +104,55 @@ def test_a_clocked_move_is_not_reused_at_a_later_tick(name, early_exit):
     assert [(r.letter, r.configs, r.status) for r in late] == [(1, (), "dropped")]
 
 
+# path2 reading y1 only: a second y1 activation within 2 units of the first
+# accepts, a later one kills the run
+Y1_WITHIN2 = TimedAutomaton(
+    3,
+    0,
+    [2],
+    1,
+    2,
+    [
+        Transition(0, "0*", (), (), 0),
+        Transition(0, "1*", (), (0,), 1),
+        Transition(1, "0*", (), (), 1),
+        Transition(1, "1*", ((0, "<", 2.0),), (), 2),
+        Transition(2, "**", (), (), 2),
+    ],
+)
+# y1 is e1 or e3 (both a -> b, first active at t=1), y2 is e2 or e4.  The
+# main core steps (e1, e2) from {(1, (1.0,))} on letter 01 at t=4 and
+# drops it; at t=5 e4 arrives and the catch-up replay steps (e3, e4) from
+# the same set on the same letter at t=2, which accepts
+Y1_WITHIN2_GRAPH = {
+    "nodes": {"a": "n", "b": "n", "c": "n"},
+    "edges": {
+        "e1": ("a", "b", "e"),
+        "e2": ("b", "c", "e"),
+        "e3": ("a", "b", "e"),
+        "e4": ("b", "c", "e"),
+    },
+    "active": {"e1": [1.0, 4.0], "e2": [3.0], "e3": [1.0, 2.0], "e4": [5.0]},
+}
+
+
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_catch_up_and_the_main_core_share_one_clocked_table(early_exit):
+    g, p = build_graph(**Y1_WITHIN2_GRAPH), shape_bgp("path2")
+    trace = Trace()
+    res = run_on_demand(g, p, Y1_WITHIN2, early_exit=early_exit, trace=trace)
+    main = [r for r in trace.rows if r.t == 4.0 and r.matching.edges == ("e1", "e2")]
+    assert [(r.letter, r.configs, r.status) for r in main] == [(1, (), "dropped")]
+    caught_up = {e.matching.edges: e for e in trace.events}[("e3", "e4")]
+    assert (caught_up.discovered_at, caught_up.eliminated_at) == (5.0, None)
+    assert caught_up.configs == ((2, (1.0,)),)
+    # acceptances in catch-up carry the discovery time
+    at = {("e3", "e2"): 3.0 if early_exit else 5.0, ("e3", "e4"): 5.0}
+    assert {m.edges: t for m, t in res.accepted} == at
+    assert res.accepted_set == set(oracle_accepted_matchings(g, p, Y1_WITHIN2))
+    assert res.accepted == run_on_demand(g, p, Y1_WITHIN2, early_exit=early_exit).accepted
+
+
 # y1 active moves the initial state to accepting state 1, which is early
 # accept, and to state 3, which is early reject; y2 is never read
 ACCEPT_ON_Y1 = TimedAutomaton(

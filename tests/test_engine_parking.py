@@ -2,8 +2,10 @@
 
 A row parks once all its configurations lie in ``TimedAutomaton.idle``
 and wakes when a snapshot holds one of its bound edges.  The skip must be
-exact: tracing turns parking off, so traced and untraced runs must agree
-on every result and counter.
+exact: a baseline run without early exit or deferred start must count the
+rows and rejections the oracle's run, which steps every letter, implies.
+Traced and untraced runs take the same stepping path, and must agree on
+every result and counter.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from tempo_bgp import (
     Trace,
     build_graph,
     oracle_accepted_matchings,
+    oracle_match,
+    oracle_run,
+    oracle_word,
     run_baseline,
     run_on_demand,
     run_partial_match,
@@ -85,7 +90,7 @@ def test_a_guarded_zero_letter_move_is_not_idle():
     assert step(ta7, {stay}, 0, 5.0) == {(2, (0.0,))}
 
 
-# -- parking on (untraced) against parking off (traced) ---------------------
+# -- parking against the oracle, and traced against untraced ----------------
 
 
 def self_loop_graph(seed: int, n_snapshots: int = 30):
@@ -124,6 +129,22 @@ def outcome(res):
     return res.accepted, (c.rows, c.generated, c.early_rejected, c.warnings)
 
 
+def oracle_counters(g, p, ta, distinct_edges):
+    """``(rows, generated, early_rejected)`` of a baseline run with neither
+    early exit nor deferred start: each matching steps every configuration
+    it holds at every letter, until its set empties."""
+    matchings = oracle_match(g, p, distinct_edges=distinct_edges)
+    rows = rejected = 0
+    for m in matchings:
+        history = oracle_run(ta, oracle_word(g, p, m))
+        for configs in history[:-1]:
+            if not configs:
+                break
+            rows += len(configs)
+        rejected += not all(history)
+    return rows, len(matchings), rejected
+
+
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
 @pytest.mark.parametrize("automaton", sorted(AUTOMATA))
 def test_parking_changes_no_result_or_counter(graph, automaton):
@@ -133,6 +154,7 @@ def test_parking_changes_no_result_or_counter(graph, automaton):
         for distinct_edges in (False, True):
             want = set(oracle_accepted_matchings(g, p, ta, distinct_edges=distinct_edges))
             streamed = {m for m in want if all(g.active[e] for e in m.edges)}
+            stepped_all = oracle_counters(g, p, ta, distinct_edges)
             for name, engine in ENGINES.items():
                 for early_exit in (True, False):
                     for defer_start in (True, False):
@@ -147,6 +169,9 @@ def test_parking_changes_no_result_or_counter(graph, automaton):
                         assert outcome(parked) == outcome(traced), case
                         expect = want if name == "baseline" else streamed
                         assert parked.accepted_set == expect, case
+                        if name == "baseline" and not early_exit and not defer_start:
+                            c = parked.counters
+                            assert (c.rows, c.generated, c.early_rejected) == stepped_all, case
 
 
 # y1 = y2 = e: the letter is 00 or 11; a second 11 within 2 units of the
@@ -204,4 +229,23 @@ def test_parked_rows_are_not_stepped(name, monkeypatch):
     res = ENGINES[name](g, p, ta, defer_start=True)
     assert res.counters.rows > 1000
     assert calls[0] <= res.counters.rows / 2, (calls[0], res.counters.rows)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_parked_rows_are_not_visited(name, traced, monkeypatch):
+    # step runs only on move-table misses; _letter_bits runs once per
+    # stepped row, hit or miss, so it sees a parked row that is stepped
+    g = generate_graph(GenSpec(12, 0.3, 0.02, 200, seed=1))
+    p, ta = shape_bgp("path3"), load_ta("ta4")
+    letter_bits, visits = engine_module._letter_bits, [0]
+
+    def counting_letter_bits(*args):
+        visits[0] += 1
+        return letter_bits(*args)
+
+    monkeypatch.setattr(engine_module, "_letter_bits", counting_letter_bits)
+    res = ENGINES[name](g, p, ta, defer_start=True, trace=Trace() if traced else None)
+    assert res.counters.rows > 1000
+    assert visits[0] <= res.counters.rows / 2, (visits[0], res.counters.rows)
 

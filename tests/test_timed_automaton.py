@@ -78,6 +78,21 @@ class TestParse:
             parse_automaton(text, 2, n_clocks=0)
         assert parse_automaton(text, 2, n_clocks=1).n_clocks == 1
 
+    def test_negative_clock_count_rejected(self):
+        from tempo_bgp.fixtures import fixture_path
+
+        # accepted, ta1 would answer order [1, 0] with Unknown, not Incompatible
+        text = fixture_path("ta", "ta1.ta").read_text(encoding="utf-8")
+        assert "clocks 0" in text
+        with pytest.raises(FormatError):
+            parse_automaton(text.replace("clocks 0", "clocks -1"), 2)
+
+    def test_negative_clock_count_or_width_rejected_on_construction(self):
+        with pytest.raises(FormatError):
+            TimedAutomaton(1, 0, [0], -1, 1, [Transition(0, "*", (), (), 0)])
+        with pytest.raises(FormatError):
+            TimedAutomaton(1, 0, [0], 0, -1, [])
+
 
 class TestEvalLetter:
     def test_exact(self):

@@ -109,6 +109,10 @@ class TestRingAutomaton:
             w = [(float(i + 1), rng.randint(0, 7)) for i in range(length)]
             assert accepts(base, w) == accepts(padded, w)
 
+    def test_negative_clock_count_rejected(self):
+        with pytest.raises(FormatError):
+            ring_automaton(2, n_clocks=-1)
+
 
 def test_random_graph_invariants():
     for seed in range(30):
