@@ -50,7 +50,6 @@ from .timed_automaton import (
     accepts,
     classify_states,
     eval_clock_guard,
-    eval_letter,
     is_compatible_order,
     is_connected_order,
     parse_automaton,

@@ -26,7 +26,7 @@ GUARD_LIMIT = 10_000_000
 
 def _guard(count: int, what: str) -> None:
     if count > GUARD_LIMIT:
-        raise OracleGuardError(f"{what}: {count} candidate assignments exceed {GUARD_LIMIT}")
+        raise OracleGuardError(f"{what}: {count} candidates exceed {GUARD_LIMIT}")
 
 
 def _literal_check(
@@ -171,6 +171,7 @@ def oracle_maximal_partials(
 
 
 def _expand_concrete(ta: TimedAutomaton) -> dict[tuple[int, int], list]:
+    _guard(sum(1 << tr.pattern.count("*") for tr in ta.transitions), "letter expansion")
     table: dict[tuple[int, int], list] = {}
     for tr in ta.transitions:
         stars = [j for j, ch in enumerate(tr.pattern) if ch == "*"]

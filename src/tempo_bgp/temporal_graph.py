@@ -30,18 +30,18 @@ class Edge:
 class TemporalGraph:
     """Static structure plus per-edge activation times.
 
-    ``domain`` is the sorted tuple of distinct timepoints; ``first_seen``
-    maps an edge to its earliest activation and is defined exactly for
-    edges with a nonempty activation set.  Edges with empty activation
-    sets are retained: they participate in time-agnostic matching and are
-    simply never active.
+    ``active`` maps each edge to its sorted activation times and
+    ``domain`` is the sorted tuple of distinct timepoints; ``first_rank``
+    maps an edge to the rank of its earliest activation, ``active[e][0]``,
+    and is defined exactly for edges with a nonempty activation set.
+    Edges with empty activation sets are retained: they participate in
+    time-agnostic matching and are simply never active.
     """
 
     nodes: dict[str, str]
     edges: dict[str, Edge]
     active: dict[str, tuple[float, ...]]
     domain: tuple[float, ...]
-    first_seen: dict[str, float]
     # Derived lookup structures, built once at construction.
     rank: dict[float, int] = field(repr=False)         # timepoint -> 1-based index
     snapshots: dict[float, frozenset[str]] = field(repr=False)
@@ -98,7 +98,6 @@ def build_graph(
     for eid, ts in active_map.items():
         for t in ts:
             snap[t].add(eid)
-    first_seen = {eid: ts[0] for eid, ts in active_map.items() if ts}
 
     by_src: dict[str, list[str]] = {}
     by_dst: dict[str, list[str]] = {}
@@ -113,10 +112,9 @@ def build_graph(
         edges=edge_map,
         active=active_map,
         domain=domain,
-        first_seen=first_seen,
         rank=rank,
         snapshots={t: frozenset(s) for t, s in snap.items()},
-        first_rank={eid: rank[t] for eid, t in first_seen.items()},
+        first_rank={eid: rank[ts[0]] for eid, ts in active_map.items() if ts},
         by_src={k: tuple(v) for k, v in by_src.items()},
         by_dst={k: tuple(v) for k, v in by_dst.items()},
         by_pair={k: tuple(v) for k, v in by_pair.items()},

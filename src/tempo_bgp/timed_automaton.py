@@ -59,16 +59,6 @@ def _pattern_mask_value(pattern: str) -> tuple[int, int]:
     return mask, value
 
 
-def eval_letter(theta: str | Sequence[str], letter: int) -> bool:
-    """True when the concrete letter matches one of the predicate's patterns."""
-    patterns = (theta,) if isinstance(theta, str) else theta
-    for pattern in patterns:
-        mask, value = _pattern_mask_value(pattern)
-        if letter & mask == value:
-            return True
-    return False
-
-
 def eval_clock_guard(guard: Iterable[GuardAtom], last_reset: Sequence[float], now: float) -> bool:
     """Conjunction of ``(now - last_reset[c]) op bound`` over the atoms."""
     for clock, op, bound in guard:
@@ -192,7 +182,7 @@ def accepts(ta: TimedAutomaton, word: Sequence[tuple[float, int]]) -> bool:
     configs: set[Config] = {ta.initial_config()}
     prev = 0.0
     for t, letter in word:
-        if t <= prev:
+        if not t > prev:
             raise FormatError(f"timepoints must be strictly increasing, got {t} after {prev}")
         configs = step(ta, configs, letter, t)
         if not configs:
@@ -265,7 +255,7 @@ def _covers_all_letters(cubes: list[tuple[int, int]]) -> bool:
 # Parsing
 
 
-def parse_automaton(text: str, n_edge_vars: int, n_clocks: int | None = None) -> TimedAutomaton:
+def parse_automaton(text: str, n_edge_vars: int) -> TimedAutomaton:
     """Parse the line-oriented automaton format.
 
     Directives::
@@ -278,19 +268,26 @@ def parse_automaton(text: str, n_edge_vars: int, n_clocks: int | None = None) ->
 
     ``pattern`` is a string over ``{0,1,*}`` of width ``n_edge_vars`` (``-``
     for width 0); ``guard`` is ``true`` or ``&``-joined atoms like
-    ``c0<3``; ``resets`` is ``-`` or comma-joined clock indices.  When
-    ``n_clocks`` is given it must agree with the file's declaration.
+    ``c0<3``; ``resets`` is ``-`` or comma-joined clock indices.  Each
+    directive but ``trans`` appears at most once; ``clocks`` defaults to 0.
+    Pattern widths, state ids and clock ids are checked by the
+    ``TimedAutomaton`` constructor.
     """
     n_states = initial = None
     accepting: list[int] = []
     declared_clocks = 0
     rows: list[tuple[int, str, str, str, int]] = []
+    seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
+        if parts[0] in seen:
+            raise FormatError(f"line {lineno}: repeated directive {parts[0]!r}")
+        if parts[0] != "trans":
+            seen.add(parts[0])
         try:
             if parts[0] == "states":
                 n_states = int(parts[1])
@@ -312,19 +309,11 @@ def parse_automaton(text: str, n_edge_vars: int, n_clocks: int | None = None) ->
         raise FormatError("automaton must declare 'states' and 'initial'")
     if not accepting:
         raise FormatError("automaton must declare at least one accepting state")
-    if n_clocks is not None and n_clocks != declared_clocks:
-        raise FormatError(
-            f"clock count mismatch: file declares {declared_clocks}, caller expects {n_clocks}"
-        )
 
     transitions = []
     for src, pattern, guard_text, resets_text, dst in rows:
         if pattern == "-" and n_edge_vars == 0:
             pattern = ""
-        if len(pattern) != n_edge_vars:
-            raise FormatError(
-                f"pattern {pattern!r} has width {len(pattern)}, expected {n_edge_vars}"
-            )
         transitions.append(
             Transition(src, pattern, _parse_guard(guard_text), _parse_resets(resets_text), dst)
         )

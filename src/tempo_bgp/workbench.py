@@ -1,10 +1,15 @@
-"""Synthetic-data workbench: generators, coarsening, parametric automata.
+"""Synthetic-data workbench: generators, coarsening, parametric automata,
+and the benchmark pattern shapes.
 
 The generator is deterministic under its seed: every potential directed
 edge owns a private splitmix64 substream keyed by (seed, pair index), so a
 run at density 0.3 produces a subset of the edges produced at 0.8 with the
 same seed, and each kept edge's activation pattern is stable across
 density settings.
+
+The benchmark shapes (``SHAPE_NAMES``: paths, cycles and a star, none with
+labels or constants) are the bundled ``fixtures/bgp`` files; the shape
+``cycle2`` is ``cycle2u.bgp``, since ``cycle2.bgp`` carries node labels.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from pathlib import Path
 
 from .bgp import Bgp, parse_bgp
 from .errors import FormatError
+from .fixtures import fixture_path
 from .rng import SplitMix64, substream
 from .temporal_graph import TemporalGraph, build_graph, write_graph_dir
 from .timed_automaton import TimedAutomaton, Transition
@@ -157,55 +163,8 @@ def random_graph(
     return build_graph(nodes, edges, active)
 
 
-_SHAPES = {
-    "path2": """
-node x1
-node x2
-node x3
-edge y1 : x1 -> x2
-edge y2 : x2 -> x3
-""",
-    "path3": """
-node x1
-node x2
-node x3
-node x4
-edge y1 : x1 -> x2
-edge y2 : x2 -> x3
-edge y3 : x3 -> x4
-""",
-    "cycle2": """
-node x1
-node x2
-edge y1 : x1 -> x2
-edge y2 : x2 -> x1
-""",
-    "cycle3": """
-node x1
-node x2
-node x3
-edge y1 : x1 -> x2
-edge y2 : x2 -> x3
-edge y3 : x3 -> x1
-""",
-    "cycle4": """
-node x1
-node x2
-node x3
-node x4
-edge y1 : x1 -> x2
-edge y2 : x2 -> x3
-edge y3 : x3 -> x4
-edge y4 : x4 -> x1
-""",
-    "star2": """
-node x1
-node x2
-node x3
-edge y1 : x1 -> x2
-edge y2 : x1 -> x3
-""",
-}
+SHAPE_NAMES = ("cycle2", "cycle3", "cycle4", "path2", "path3", "star2")
+_SHAPE_FILES = {name: name for name in SHAPE_NAMES} | {"cycle2": "cycle2u"}
 
 
 def shape_bgp(name: str) -> Bgp:
@@ -214,11 +173,7 @@ def shape_bgp(name: str) -> Bgp:
 
 
 def shape_text(name: str) -> str:
-    """Pattern file text for a benchmark shape, for writing to disk."""
-    try:
-        return _SHAPES[name]
-    except KeyError:
-        raise FormatError(f"unknown pattern shape {name!r}; choose from {sorted(_SHAPES)}") from None
-
-
-SHAPE_NAMES = tuple(sorted(_SHAPES))
+    """Text of the bundled pattern file for a benchmark shape."""
+    if name not in _SHAPE_FILES:
+        raise FormatError(f"unknown pattern shape {name!r}; choose from {list(SHAPE_NAMES)}")
+    return fixture_path("bgp", f"{_SHAPE_FILES[name]}.bgp").read_text(encoding="utf-8")

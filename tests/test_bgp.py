@@ -56,6 +56,19 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_bgp("vertex x\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "node 1x\n",  # bad name
+            "const a-b\n",  # bad name
+            "node a\nnode b\nedge y1 a -> b\n",  # edge line without its colon
+            "node a\nnode b\nedge y1 : a => b\n",  # edge line without its arrow
+        ],
+    )
+    def test_rejects(self, text):
+        with pytest.raises(FormatError):
+            parse_bgp(text)
+
 
 class TestMatchTotal:
     def test_cycle2_labeled(self, interactions, bgp):
@@ -150,6 +163,21 @@ class TestExtend:
         mus = [empty_matching(p), Matching(("e5", None), ("v5", "v1"))]
         pairs = extend(interactions, p, mus, set(), set(interactions.edges))
         assert pairs == [(m, m) for m in mus]
+
+    def test_new_edges_must_lie_in_history(self, interactions, bgp):
+        p = bgp["cycle2u"]
+        with pytest.raises(FormatError, match="contained in history"):
+            extend(interactions, p, [empty_matching(p)], {"e5", "e6"}, {"e5"})
+
+    def test_row_that_is_no_prefix_of_the_order_keeps_only_its_identity(self, interactions, bgp):
+        p = bgp["path3"]
+        e = interactions.edges["e5"]
+        mu = Matching((None, "e5", None), (None, e.src, e.dst, None))
+        every = set(interactions.edges)
+        pairs = extend(interactions, p, [mu], every, every, order=("y1", "y2", "y3"))
+        assert pairs == [(mu, mu)]
+        # unordered, the same row grows
+        assert len(extend(interactions, p, [mu], every, every)) > 1
 
     @pytest.mark.parametrize("order", [["nope"], ["y1", "y1"], ["y1"]])
     def test_order_must_permute_the_edge_variables(self, interactions, bgp, order):

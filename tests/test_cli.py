@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from tempo_bgp import engine
 from tempo_bgp.cli import main
 from tempo_bgp.fixtures import fixture_path
 
@@ -160,6 +163,38 @@ def test_check_order_search(capsys):
     assert capsys.readouterr().out.strip() == "y1,y2"
 
 
+@pytest.mark.parametrize(
+    "ta_name, flags, code, out",
+    [
+        ("ta6", ["--search"], 0, "NO"),  # y1 before y2 and y2 before y1 both admitted
+        ("ta1", [], 1, ""),  # neither --order nor --search
+    ],
+)
+def test_check_order_outcomes(ta_name, flags, code, out, capsys):
+    assert run_cli(
+        "check-order", "--bgp", bgp_file("cycle2u"), "--ta", ta_file(ta_name), *flags
+    ) == code
+    captured = capsys.readouterr()
+    assert captured.out.strip() == out
+    if code:
+        assert "--order or --search" in captured.err
+
+
+def test_verify_reports_a_disagreeing_engine(monkeypatch, capsys):
+    real_run = engine.run
+
+    def run(algo, *args, **kwargs):
+        if algo == "partial":
+            return SimpleNamespace(accepted_set=frozenset())
+        return real_run(algo, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", run)
+    assert run_cli(
+        "verify", "--graph", GRAPH_DIR, "--bgp", bgp_file("cycle2"), "--ta", ta_file("ta2")
+    ) == 1
+    assert capsys.readouterr().out.splitlines() == ["partial: missing=['y1=e5 y2=e6'] extra=[]"]
+
+
 def test_verify_agreement(capsys):
     assert run_cli(
         "verify", "--graph", GRAPH_DIR, "--bgp", bgp_file("cycle2"), "--ta", ta_file("ta2")
@@ -217,6 +252,26 @@ def test_verify_guard_exit(tmp_path, capsys):
         "--ta", ta_file("ta4"),
     )
     assert code == 3
+
+
+def test_verify_guard_exit_on_wide_wildcard_automaton(tmp_path, capsys):
+    # one matching of thirty edge variables; its 2^30-letter expansion trips the guard
+    width = 30
+    (tmp_path / "node.csv").write_text("vid,label\na,n\nb,n\n", encoding="utf-8")
+    (tmp_path / "edge.csv").write_text("eid,src,dst,label\ne1,a,b,e\n", encoding="utf-8")
+    (tmp_path / "active.csv").write_text("eid,time\ne1,1\n", encoding="utf-8")
+    pattern = tmp_path / "wide.bgp"
+    pattern.write_text(
+        "node x1\nnode x2\n" + "".join(f"edge y{j} : x1 -> x2\n" for j in range(width)),
+        encoding="utf-8",
+    )
+    automaton = tmp_path / "wide.ta"
+    automaton.write_text(
+        f"states 1\ninitial 0\naccepting 0\ntrans 0 {'*' * width} true - 0\n", encoding="utf-8"
+    )
+    code = run_cli("verify", "--graph", str(tmp_path), "--bgp", str(pattern), "--ta", str(automaton))
+    assert code == 3
+    assert "letter expansion" in capsys.readouterr().err
 
 
 def test_gen_and_coarsen_roundtrip(tmp_path, capsys):

@@ -14,11 +14,13 @@ from tempo_bgp import (
     oracle_accepts,
     oracle_match,
     oracle_maximal_partials,
+    oracle_run,
     oracle_word,
     parse_bgp,
 )
 from tempo_bgp.oracle import oracle_enumerate_partials
 from tempo_bgp.rng import SplitMix64
+from tempo_bgp.timed_automaton import TimedAutomaton, Transition
 from tempo_bgp.workbench import random_graph, shape_bgp
 
 
@@ -47,6 +49,14 @@ def test_guard_refuses_oversized():
     g = build_graph(nodes, edges, {k: [1.0] for k in edges})
     with pytest.raises(OracleGuardError):
         oracle_match(g, shape_bgp("path3"))
+
+
+def test_guard_refuses_wide_letter_expansion():
+    # 2^30 concrete letters for one all-wildcard transition
+    width = 30
+    ta = TimedAutomaton(1, 0, [0], 0, width, [Transition(0, "*" * width, (), (), 0)])
+    with pytest.raises(OracleGuardError, match="letter expansion"):
+        oracle_run(ta, [(1.0, 0)])
 
 
 class TestOracleAccepts:

@@ -45,7 +45,7 @@ def test_snapshot_at_9(interactions):
 
 
 def test_history_at_rank_of_1(interactions):
-    expected = {e for e, t in interactions.first_seen.items() if t <= 1.0}
+    expected = {e for e, ts in interactions.active.items() if ts and ts[0] <= 1.0}
     assert history_upto(interactions, interactions.rank[1.0]) == expected == {"e1", "e3", "e4", "e5", "e11"}
 
 
@@ -87,7 +87,7 @@ def test_load_empty_active(tmp_path):
     g = load_graph(n, e, a)
     assert g.domain == ()
     assert g.active["x"] == ()
-    assert g.first_seen == {}
+    assert g.first_rank == {}
 
 
 def test_load_duplicate_activation_rows_dedup(tmp_path):
@@ -122,6 +122,36 @@ def test_load_errors(tmp_path):
     bad_header = _write(tmp_path, "h.csv", "id,when\nx,1\n")
     with pytest.raises(FormatError):
         load_graph(n, e, bad_header)
+
+
+@pytest.mark.parametrize(
+    "node_text, edge_text",
+    [
+        ("", "eid,src,dst,label\n"),  # empty file
+        ("vid,label\na\n", "eid,src,dst,label\n"),  # wrong field count
+        ("vid,label\n,n\n", "eid,src,dst,label\n"),  # empty node id
+        ("vid,label\na,n\n", "eid,src,dst,label\n,a,a,e\n"),  # empty edge id
+    ],
+)
+def test_load_rejects(tmp_path, node_text, edge_text):
+    n = _write(tmp_path, "node.csv", node_text)
+    e = _write(tmp_path, "edge.csv", edge_text)
+    with pytest.raises(FormatError):
+        load_graph(n, e, _write(tmp_path, "active.csv", "eid,time\n"))
+
+
+@pytest.mark.parametrize(
+    "edges, active, error",
+    [
+        ({"x": ("a", "zz", "e")}, {}, ReferentialError),  # edge to an unknown node
+        ({"x": ("a", "b", "e")}, {"zz": [1.0]}, ReferentialError),  # unknown edge
+        ({"x": ("a", "b", "e")}, {"x": [float("inf")]}, FormatError),
+        ({"x": ("a", "b", "e")}, {"x": [float("nan")]}, FormatError),
+    ],
+)
+def test_build_graph_rejects(edges, active, error):
+    with pytest.raises(error):
+        build_graph({"a": "n", "b": "n"}, edges, active)
 
 
 def test_identical_decimal_text_compares_equal(interactions):

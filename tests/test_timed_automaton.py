@@ -10,7 +10,6 @@ from tempo_bgp import (
     accepts,
     classify_states,
     eval_clock_guard,
-    eval_letter,
     is_compatible_order,
     is_connected_order,
     oracle_word,
@@ -74,9 +73,7 @@ class TestParse:
         from tempo_bgp.fixtures import fixture_path
 
         text = fixture_path("ta", "ta2.ta").read_text(encoding="utf-8")
-        with pytest.raises(FormatError):
-            parse_automaton(text, 2, n_clocks=0)
-        assert parse_automaton(text, 2, n_clocks=1).n_clocks == 1
+        assert parse_automaton(text, 2).n_clocks == 1
 
     def test_negative_clock_count_rejected(self):
         from tempo_bgp.fixtures import fixture_path
@@ -94,20 +91,74 @@ class TestParse:
             TimedAutomaton(1, 0, [0], 0, -1, [])
 
 
+def letter_admitted(patterns, letter):
+    """Whether a one-state automaton with one self-loop per pattern moves on ``letter``."""
+    loops = [Transition(0, pattern, (), (), 0) for pattern in patterns]
+    return bool(TimedAutomaton(1, 0, [0], 0, len(patterns[0]), loops).transitions_from(0, letter))
+
+
+VALID = "states 2\ninitial 0\naccepting 0\nclocks 1\ntrans 0 00 c0<3 0 1\n"
+
+
+@pytest.mark.parametrize("directive", ["states 2", "initial 1", "clocks 0", "accepting 1"])
+def test_repeated_directive_rejected(directive):
+    with pytest.raises(FormatError, match=f"line 6: repeated directive '{directive.split()[0]}'"):
+        parse_automaton(VALID + directive + "\n", 2)
+
+
+@pytest.mark.parametrize(
+    "text, width",
+    [
+        (VALID + "frob 1\n", 2),  # unknown directive
+        (VALID.replace("states 2", "states two"), 2),  # malformed directive
+        (VALID + "trans 0 00 true -\n", 2),  # trans with a field missing
+        (VALID.replace("states 2\n", ""), 2),  # no states line
+        (VALID.replace("c0<3", "c0!3"), 2),  # bad guard atom
+        (VALID.replace("c0<3 0", "c0<3 a,b"), 2),  # bad reset list
+        (VALID.replace(" 00 ", " - "), 2),  # '-' is the width-0 pattern only
+        ("states 1\ninitial 0\naccepting 0\ntrans 0 0 true - 0\n", 0),
+    ],
+)
+def test_parse_automaton_rejects(text, width):
+    with pytest.raises(FormatError):
+        parse_automaton(text, width)
+
+
+def test_dash_is_the_width_0_pattern():
+    a = parse_automaton("states 1\ninitial 0\naccepting 0\ntrans 0 - true - 0\n", 0)
+    assert [tr.pattern for tr in a.transitions] == [""]
+
+
+@pytest.mark.parametrize(
+    "initial, accepting, transition",
+    [
+        (2, [0], Transition(0, "0", (), (), 0)),  # initial state
+        (0, [-1], Transition(0, "0", (), (), 0)),  # accepting state
+        (0, [0], Transition(0, "0", (), (), 2)),  # transition target
+        (0, [0], Transition(3, "0", (), (), 0)),  # transition source
+        (0, [0], Transition(0, "0", ((0, "!=", 1.0),), (), 0)),  # comparator
+        (0, [0], Transition(0, "0", (), (1,), 0)),  # reset clock
+    ],
+)
+def test_timed_automaton_rejects(initial, accepting, transition):
+    with pytest.raises(FormatError):
+        TimedAutomaton(2, initial, accepting, 1, 1, [transition])
+
+
 class TestEvalLetter:
     def test_exact(self):
-        assert eval_letter("10", 0b01)  # leftmost char is bit 0
-        assert not eval_letter("10", 0b10)
+        assert letter_admitted(["10"], 0b01)  # leftmost char is bit 0
+        assert not letter_admitted(["10"], 0b10)
 
     def test_wildcard(self):
-        assert eval_letter("*1", 0b10)
-        assert not eval_letter("*1", 0b01)
+        assert letter_admitted(["*1"], 0b10)
+        assert not letter_admitted(["*1"], 0b01)
 
     def test_pattern_list_exclusion(self, ta):
-        loop = tuple(tr.pattern for tr in ta["ta6"].transitions)
+        loop = [tr.pattern for tr in ta["ta6"].transitions]
         assert sorted(loop) == ["00", "01", "10"]
-        assert not eval_letter(loop, 0b11)
-        assert eval_letter(loop, 0b00)
+        assert not letter_admitted(loop, 0b11)
+        assert letter_admitted(loop, 0b00)
 
 
 class TestEvalClockGuard:
@@ -162,6 +213,13 @@ class TestAccepts:
     def test_nonincreasing_time_rejected(self, ta):
         with pytest.raises(FormatError):
             accepts(ta["ta1"], [(1.0, 0), (1.0, 0)])
+        # NaN compares false both ways, so it must not slip past the check
+        nan = float("nan")
+        assert accepts(ta["ta2"], [(1.0, 0b01)])
+        with pytest.raises(FormatError):
+            accepts(ta["ta2"], [(nan, 0b01)])
+        with pytest.raises(FormatError):
+            accepts(ta["ta2"], [(1.0, 0b01), (nan, 0b10), (3.0, 0b01)])
 
 
 class TestClassify:
@@ -252,6 +310,11 @@ class TestOrders:
     def test_clocks_give_unknown(self, ta):
         assert is_compatible_order(ta["ta2"], [1, 0]) is Compatibility.UNKNOWN
         assert is_compatible_order(ta["ta2"], [0, 1]) is Compatibility.COMPATIBLE
+
+    @pytest.mark.parametrize("order", [[0], [0, 0], [1, 2], [0, 1, 2]])
+    def test_compatibility_needs_a_permutation(self, ta, order):
+        with pytest.raises(FormatError, match="not a permutation"):
+            is_compatible_order(ta["ta1"], order)
 
     def test_zero_width_vacuous(self):
         a = TimedAutomaton(1, 0, [0], 0, 0, [Transition(0, "", (), (), 0)])

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from tempo_bgp import FormatError, accepts, match_total, snapshot
-from tempo_bgp.fixtures import load_ta
+from tempo_bgp.fixtures import fixture_path, load_bgp, load_ta
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.workbench import (
+    SHAPE_NAMES,
     GenSpec,
     coarsen_graph,
     generate_graph,
@@ -15,6 +16,7 @@ from tempo_bgp.workbench import (
     random_graph,
     ring_automaton,
     shape_bgp,
+    shape_text,
 )
 
 
@@ -127,3 +129,13 @@ def test_shape_names():
     with pytest.raises(FormatError):
         shape_bgp("pentagram")
     assert shape_bgp("cycle4").edge_vars == ("y1", "y2", "y3", "y4")
+
+
+@pytest.mark.parametrize("name", SHAPE_NAMES)
+def test_shapes_are_the_unlabeled_fixture_files(name):
+    # the fixture cycle2.bgp carries node labels; the cycle2 shape is cycle2u.bgp
+    file = "cycle2u" if name == "cycle2" else name
+    p = shape_bgp(name)
+    assert p.labels == {} and p.constants == ()
+    assert p == load_bgp(file)
+    assert shape_text(name) == fixture_path("bgp", f"{file}.bgp").read_text(encoding="utf-8")
