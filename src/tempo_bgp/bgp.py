@@ -48,14 +48,18 @@ class Bgp:
     def width(self) -> int:
         return len(self.edge_vars)
 
-    def edge_index(self, name: str) -> int:
-        return self.edge_vars.index(name)
-
     @property
     def isolated(self) -> tuple[int, ...]:
         """Indices of the node variables that no edge variable reads."""
         ends = {end for y in self.edge_vars for end in self.rho[y]}
         return tuple(i for i, x in enumerate(self.node_vars) if x not in ends)
+
+
+def order_indices(p: Bgp, order: Sequence[str]) -> list[int]:
+    """The bit indices of ``order``, a permutation of the edge variables (else ``FormatError``)."""
+    if sorted(order) != sorted(p.edge_vars):
+        raise FormatError(f"order {order!r} is not a permutation of the edge variables")
+    return [p.edge_vars.index(y) for y in order]
 
 
 class Matching(NamedTuple):
@@ -416,9 +420,7 @@ def extend(
     new = set(new_edges)
     if not new.issubset(history):
         raise FormatError("new_edges must be contained in history")
-    if order is not None and sorted(order) != sorted(p.edge_vars):
-        raise FormatError(f"order {order!r} is not a permutation of the edge variables")
-    slot_order = None if order is None else [p.edge_index(y) for y in order]
+    slot_order = None if order is None else order_indices(p, order)
     slots = _slot_table(p)
     n = len(p.node_vars)
     fill = _isolated_fill(g, p)

@@ -15,7 +15,7 @@ from pathlib import Path
 from statistics import mean
 
 from . import engine, oracle, workbench
-from .bgp import parse_bgp
+from .bgp import order_indices, parse_bgp
 from .errors import (
     FormatError,
     OracleGuardError,
@@ -25,10 +25,9 @@ from .errors import (
 )
 from .temporal_graph import format_time, load_graph_dir, write_graph_dir
 from .timed_automaton import (
-    Compatibility,
+    _search_order,
     is_compatible_order,
     is_connected_order,
-    order_indices,
     parse_automaton,
 )
 
@@ -39,10 +38,13 @@ EXIT_GUARD = 3
 
 
 def _load_inputs(args):
-    g = load_graph_dir(args.graph)
+    return load_graph_dir(args.graph), *_load_query(args)
+
+
+def _load_query(args):
     p = parse_bgp(Path(args.bgp).read_text(encoding="utf-8"))
     ta = parse_automaton(Path(args.ta).read_text(encoding="utf-8"), len(p.edge_vars))
-    return g, p, ta
+    return p, ta
 
 
 def _parse_order(text, p):
@@ -51,6 +53,21 @@ def _parse_order(text, p):
         if name not in p.edge_vars:
             raise FormatError(f"order names unknown edge variable {name!r}")
     return names
+
+
+def _timed_run(args, algo, g, p, ta, order):
+    """One engine run under the command's flags; returns the result and its wall time in ms."""
+    start = time.perf_counter()
+    result = engine.run(
+        algo,
+        g,
+        p,
+        ta,
+        order=order,
+        early_exit=not args.no_early_exit,
+        distinct_edges=args.distinct_edges,
+    )
+    return result, (time.perf_counter() - start) * 1000.0
 
 
 def _result_lines(p, result, wall_ms):
@@ -66,17 +83,7 @@ def _result_lines(p, result, wall_ms):
 def cmd_match(args) -> int:
     g, p, ta = _load_inputs(args)
     order = _parse_order(args.order, p) if args.order else None
-    start = time.perf_counter()
-    result = engine.run(
-        args.algo,
-        g,
-        p,
-        ta,
-        order=order,
-        early_exit=not args.no_early_exit,
-        distinct_edges=args.distinct_edges,
-    )
-    wall_ms = (time.perf_counter() - start) * 1000.0
+    result, wall_ms = _timed_run(args, args.algo, g, p, ta, order)
     if result.counters.warnings:
         print("warning: order unverifiable against the automaton; ran unordered", file=sys.stderr)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
@@ -111,18 +118,10 @@ def cmd_coarsen(args) -> int:
 
 
 def cmd_check_order(args) -> int:
-    p = parse_bgp(Path(args.bgp).read_text(encoding="utf-8"))
-    ta = parse_automaton(Path(args.ta).read_text(encoding="utf-8"), len(p.edge_vars))
+    p, ta = _load_query(args)
     if args.search:
-        from itertools import permutations
-
-        for perm in permutations(p.edge_vars):
-            if is_connected_order(p, perm) and (
-                is_compatible_order(ta, order_indices(p, perm)) is Compatibility.COMPATIBLE
-            ):
-                print(",".join(perm))
-                return EXIT_OK
-        print("NO")
+        order = _search_order(p, ta)
+        print("NO" if order is None else ",".join(order))
         return EXIT_OK
     if not args.order:
         print("error: check-order needs --order or --search", file=sys.stderr)
@@ -141,9 +140,7 @@ def cmd_verify(args) -> int:
     )
     answers = {"oracle": reference}
     for algo in engine.ALGORITHMS:
-        answers[algo] = engine.run(
-            algo, g, p, ta, distinct_edges=args.distinct_edges
-        ).accepted_set
+        answers[algo] = _timed_run(args, algo, g, p, ta, None)[0].accepted_set
     if all(a == reference for a in answers.values()):
         print(f"agree: {len(reference)} accepted matchings")
         return EXIT_OK
@@ -168,19 +165,9 @@ def cmd_bench(args) -> int:
     print("algo\truns\trun_ms\trows\tgenerated\tearly_rejected\taccepted")
     for algo in algos:
         times = []
-        result = None
         for _ in range(args.repeat):
-            start = time.perf_counter()
-            result = engine.run(
-                algo,
-                g,
-                p,
-                ta,
-                order=order if algo == "partial" else None,
-                early_exit=not args.no_early_exit,
-                distinct_edges=args.distinct_edges,
-            )
-            times.append((time.perf_counter() - start) * 1000.0)
+            result, wall_ms = _timed_run(args, algo, g, p, ta, order if algo == "partial" else None)
+            times.append(wall_ms)
         c = result.counters
         print(
             f"{algo}\t{args.repeat}\t{mean(times):.1f}\t{c.rows}\t{c.generated}"
@@ -235,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run all engines plus the oracle and compare")
     add_io(sp)
     sp.add_argument("--distinct-edges", action="store_true")
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn=cmd_verify, no_early_exit=False)
 
     sp = sub.add_parser("bench", help="time the algorithms and dump counters")
     add_io(sp)

@@ -41,12 +41,13 @@ time, so the table lives for the whole run, a lazy subset construction;
 with clocks it is cleared at every tick.  Acceptance stays per row, since
 a partial matching touching an early-accept state is filtered instead.
 
-Streams are checked: timepoints must be positive and strictly increasing
-(``FormatError``) and edges known to the graph (``ReferentialError``).
+Streams are checked: timepoints must be positive, finite and strictly
+increasing (``FormatError``) and edges known to the graph (``ReferentialError``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator, Sequence
@@ -58,6 +59,7 @@ from .bgp import (
     empty_matching,
     extend,
     match_total,
+    order_indices,
 )
 from .errors import FormatError, OrderIncompatible, OrderNotConnected, ReferentialError
 from .temporal_graph import TemporalGraph
@@ -67,7 +69,6 @@ from .timed_automaton import (
     TimedAutomaton,
     is_compatible_order,
     is_connected_order,
-    order_indices,
     step,
 )
 
@@ -182,6 +183,10 @@ def _letter_bits(edges: Sequence[str | None], snap: frozenset[str]) -> int:
 class _Core:
     """The stepping core: entry rule, working table, one-letter tick, replay, end of stream.
 
+    ``enter`` is the entry rule of baseline and on-demand, which ``replay``
+    then follows; partial rows enter by copying their source row's
+    configurations instead.
+
     The working table holds busy rows, stepped at every tick, and parked
     rows.  A row may park after a step that leaves every configuration it
     holds in ``ta.idle``: an empty letter then leaves it unchanged, clocks
@@ -214,9 +219,10 @@ class _Core:
     too, so no time's moves leak into another.
     """
 
-    def __init__(self, ta, early_exit, trace, parent: _Core | None = None):
+    def __init__(self, ta, early_exit, trace, parent: _Core | None = None, defer_start=False):
         self.ta = ta
         self.early_exit = early_exit
+        self.defer = defer_start and ta.dead_start
         self.trace = trace
         self.counters = Counters() if parent is None else parent.counters
         self.moves: dict[tuple[Configs, int], _Move] = {} if parent is None else parent.moves
@@ -229,17 +235,29 @@ class _Core:
         self.parked_configs = 0
         self.wake: dict[str, set[Matching]] = {}
 
-    def admit(self, batch: list[Matching], t: float) -> bool:
-        """The entry rule: whether new matchings get rows or their initial state settles them."""
+    def enter(self, batch: list[Matching], t: float, first: dict[str, int], n: int):
+        """The entry rule: settle ``batch`` at ``t`` if the initial state decides,
+        else map snapshot indices to the matchings entering before them: 0, or
+        with ``defer`` the earliest ``first`` index of their edges (``n`` for none)."""
         if self.early_exit:
             initial = self.ta.initial
             if initial in self.ta.early_accept:
                 self.accepted.update(zip(batch, repeat(t)))
-                return False
+                return {}
             if initial in self.ta.early_reject:
                 self.counters.early_rejected += len(batch)
-                return False
-        return True
+                return {}
+        if not self.defer:
+            return {0: batch}
+        entering: dict[int, list[Matching]] = {}
+        for m in batch:
+            i = n
+            for e in m.edges:
+                j = first.get(e, n)
+                if j < i:
+                    i = j
+            entering.setdefault(i, []).append(m)
+        return entering
 
     def tick(self, snap, t) -> None:
         """Advance every row one letter: wake the parked rows ``snap`` touches,
@@ -363,19 +381,6 @@ class _Core:
         return EngineResult(sorted(accepted.items()), self.counters)
 
 
-def _by_entry(matchings, first: dict[str, int], n: int) -> dict[int, list[Matching]]:
-    """Group matchings by the earliest ``first`` index of their edges (``n`` for none)."""
-    entering: dict[int, list[Matching]] = {}
-    for m in matchings:
-        i = n
-        for e in m.edges:
-            j = first.get(e, n)
-            if j < i:
-                i = j
-        entering.setdefault(i, []).append(m)
-    return entering
-
-
 def _snapshots(g: TemporalGraph, stream: Stream | None, history: set[str]):
     """The checked snapshot loop: ``(t, snap, new_edges)`` per snapshot of ``stream``.
 
@@ -387,9 +392,10 @@ def _snapshots(g: TemporalGraph, stream: Stream | None, history: set[str]):
     edges = g.edges
     prev = 0.0
     for t, snap in stream:
-        if not t > prev:
+        if not prev < t < math.inf:
             raise FormatError(
-                f"snapshot timepoints must be positive and strictly increasing, got {t} after {prev}"
+                "snapshot timepoints must be positive, finite and strictly increasing, "
+                f"got {t} after {prev}"
             )
         prev = t
         new_edges = snap - history
@@ -413,19 +419,15 @@ def run_baseline(
 ) -> EngineResult:
     """Match first, then run the automaton once over the whole domain."""
     _check_width(p, ta)
-    core = _Core(ta, early_exit, trace)
+    core = _Core(ta, early_exit, trace, defer_start=defer_start)
     matchings = match_total(g, p, distinct_edges=distinct_edges)
     core.counters.generated = len(matchings)
     if trace is not None:
         for m in matchings:
             trace.add_row(0.0, m, 0, core.seed, "alive")
     snapshots = [(t, g.snapshots[t]) for t in g.domain]
-    entering = {}
-    if core.admit(matchings, 0.0):
-        first = {e: r - 1 for e, r in g.first_rank.items()}
-        use_defer = defer_start and ta.dead_start
-        entering = _by_entry(matchings, first, len(snapshots)) if use_defer else {0: matchings}
-    core.replay(entering, snapshots)
+    first = {e: r - 1 for e, r in g.first_rank.items()}
+    core.replay(core.enter(matchings, 0.0, first, len(snapshots)), snapshots)
     return core.finish(g.domain[-1] if g.domain else 0.0)
 
 
@@ -447,8 +449,7 @@ def run_on_demand(
     """
     _check_width(p, ta)
     _check_streamable(p)
-    core = _Core(ta, early_exit, trace)
-    use_defer = defer_start and ta.dead_start
+    core = _Core(ta, early_exit, trace, defer_start=defer_start)
     past: list[tuple[float, frozenset[str]]] = []
     first: dict[str, int] = {}  # edge -> index in past of the snapshot that first held it
     t = 0.0
@@ -456,8 +457,7 @@ def run_on_demand(
         if new_edges:
             batch = delta_match(g, p, first, new_edges, distinct_edges=distinct_edges)
             core.counters.generated += len(batch)
-            if batch and core.admit(batch, t):
-                entering = _by_entry(batch, first, len(past)) if use_defer else {0: batch}
+            if batch and (entering := core.enter(batch, t, first, len(past))):
                 # catch-up keeps its own acceptances (restamped at discovery) and rows
                 catch_up = _Core(ta, early_exit, None if trace is None else Trace(), core)
                 catch_up.replay(entering, past)
@@ -548,18 +548,16 @@ def run(
     *,
     order: Sequence[str] | None = None,
     early_exit: bool = True,
-    defer_start: bool = True,
     distinct_edges: bool = False,
-    trace: Trace | None = None,
 ) -> EngineResult:
     """Dispatch to one of the three engines by name."""
     if algo not in ALGORITHMS:
         raise FormatError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     if order is not None and algo != "partial":
         raise FormatError("an edge-variable order only applies to the partial algorithm")
-    common = dict(early_exit=early_exit, distinct_edges=distinct_edges, trace=trace)
+    common = dict(early_exit=early_exit, distinct_edges=distinct_edges)
     if algo == "baseline":
-        return run_baseline(g, p, ta, defer_start=defer_start, **common)
+        return run_baseline(g, p, ta, **common)
     if algo == "on-demand":
-        return run_on_demand(g, p, ta, defer_start=defer_start, **common)
+        return run_on_demand(g, p, ta, **common)
     return run_partial_match(g, p, ta, order=order, **common)

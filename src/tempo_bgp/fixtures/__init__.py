@@ -43,7 +43,6 @@ def load_bgp(name: str) -> Bgp:
     return parse_bgp(fixture_path("bgp", f"{name}.bgp").read_text(encoding="utf-8"))
 
 
-def load_ta(name: str, width: int | None = None) -> TimedAutomaton:
-    if width is None:
-        width = TA_WIDTHS[name]
-    return parse_automaton(fixture_path("ta", f"{name}.ta").read_text(encoding="utf-8"), width)
+def load_ta(name: str) -> TimedAutomaton:
+    text = fixture_path("ta", f"{name}.ta").read_text(encoding="utf-8")
+    return parse_automaton(text, TA_WIDTHS[name])

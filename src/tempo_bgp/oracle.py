@@ -143,6 +143,7 @@ def oracle_enumerate_partials(
     pool = sorted(set(edge_ids))
     seen: set[Matching] = set()
     n = len(p.edge_vars)
+    _guard(1 << n, "edge-variable subsets")
     for subset_bits in range(1 << n):
         chosen = [p.edge_vars[j] for j in range(n) if subset_bits >> j & 1]
         for m in _assignments(
@@ -208,7 +209,11 @@ def oracle_run(
     consecutive letters is added to every clock before guards are checked,
     and reset clocks drop to zero afterwards.
     """
-    table = _expand_concrete(ta)
+    return _run(ta, _expand_concrete(ta), word)
+
+
+def _run(ta: TimedAutomaton, table, word) -> list[set[tuple[int, tuple[float, ...]]]]:
+    """``oracle_run`` over a letter-expansion table built by ``_expand_concrete``."""
     configs: set[tuple[int, tuple[float, ...]]] = {(ta.initial, (0.0,) * ta.n_clocks)}
     history = [set(configs)]
     prev = 0.0
@@ -230,7 +235,10 @@ def oracle_run(
 
 
 def oracle_accepts(ta: TimedAutomaton, word: Sequence[tuple[float, int]]) -> bool:
-    final = oracle_run(ta, word)[-1]
+    return _accepting(ta, oracle_run(ta, word)[-1])
+
+
+def _accepting(ta: TimedAutomaton, final) -> bool:
     return any(state in ta.accepting for state, _ in final)
 
 
@@ -253,9 +261,13 @@ def oracle_word(g: TemporalGraph, p: Bgp, m: Matching) -> list[tuple[float, int]
 def oracle_accepted_matchings(
     g: TemporalGraph, p: Bgp, ta: TimedAutomaton, *, distinct_edges: bool = False
 ) -> list[Matching]:
-    """Reference answer for a whole query: match, build words, filter."""
+    """Reference answer for a whole query: match, build words, filter.
+
+    The letter-expansion table is built once for the whole query.
+    """
+    table = _expand_concrete(ta)
     return [
         m
         for m in oracle_match(g, p, distinct_edges=distinct_edges)
-        if oracle_accepts(ta, oracle_word(g, p, m))
+        if _accepting(ta, _run(ta, table, oracle_word(g, p, m))[-1])
     ]

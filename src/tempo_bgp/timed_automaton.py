@@ -20,13 +20,14 @@ encoding of the automaton.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .bgp import Bgp
+from .bgp import Bgp, order_indices
 from .errors import FormatError
 
 Config = tuple[int, tuple[float, ...]]
@@ -178,12 +179,18 @@ def accepts(ta: TimedAutomaton, word: Sequence[tuple[float, int]]) -> bool:
     """Whether some run over the timed word ends in an accepting state.
 
     The empty word is accepted exactly when the initial state accepts.
+    Timepoints must be positive, finite and strictly increasing, and letters
+    fit the automaton's width (``FormatError``).
     """
     configs: set[Config] = {ta.initial_config()}
     prev = 0.0
     for t, letter in word:
-        if not t > prev:
-            raise FormatError(f"timepoints must be strictly increasing, got {t} after {prev}")
+        if not prev < t < math.inf:
+            raise FormatError(
+                f"timepoints must be positive, finite and strictly increasing, got {t} after {prev}"
+            )
+        if not 0 <= letter < 1 << ta.width:
+            raise FormatError(f"letter {letter} does not fit width {ta.width}")
         configs = step(ta, configs, letter, t)
         if not configs:
             return False
@@ -269,7 +276,8 @@ def parse_automaton(text: str, n_edge_vars: int) -> TimedAutomaton:
     ``pattern`` is a string over ``{0,1,*}`` of width ``n_edge_vars`` (``-``
     for width 0); ``guard`` is ``true`` or ``&``-joined atoms like
     ``c0<3``; ``resets`` is ``-`` or comma-joined clock indices.  Each
-    directive but ``trans`` appears at most once; ``clocks`` defaults to 0.
+    directive but ``trans`` appears at most once; ``states``, ``initial``
+    and ``clocks`` take exactly one integer, and ``clocks`` defaults to 0.
     Pattern widths, state ids and clock ids are checked by the
     ``TimedAutomaton`` constructor.
     """
@@ -289,14 +297,15 @@ def parse_automaton(text: str, n_edge_vars: int) -> TimedAutomaton:
         if parts[0] != "trans":
             seen.add(parts[0])
         try:
+            # unpacking raises ValueError on a missing or extra token
             if parts[0] == "states":
-                n_states = int(parts[1])
+                (n_states,) = map(int, parts[1:])
             elif parts[0] == "initial":
-                initial = int(parts[1])
+                (initial,) = map(int, parts[1:])
             elif parts[0] == "accepting":
                 accepting = [int(x) for x in parts[1:]]
             elif parts[0] == "clocks":
-                declared_clocks = int(parts[1])
+                (declared_clocks,) = map(int, parts[1:])
             elif parts[0] == "trans":
                 _, src, pattern, guard, resets, dst = parts
                 rows.append((int(src), pattern, guard, resets, int(dst)))
@@ -351,9 +360,6 @@ class Compatibility(Enum):
     INCOMPATIBLE = "Incompatible"
     UNKNOWN = "Unknown"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 def is_connected_order(p: Bgp, order: Sequence[str]) -> bool:
     """Whether every prefix of ``order`` induces a connected subpattern.
@@ -361,8 +367,7 @@ def is_connected_order(p: Bgp, order: Sequence[str]) -> bool:
     Connectivity is over shared endpoints, undirected, with constants
     counting as vertices.
     """
-    if sorted(order) != sorted(p.edge_vars):
-        raise FormatError(f"order {order!r} is not a permutation of the edge variables")
+    order_indices(p, order)  # refuses a non-permutation
     comp: dict[str, str] = {}
 
     def find(x: str) -> str:
@@ -418,29 +423,72 @@ def is_compatible_order(ta: TimedAutomaton, order: Sequence[int]) -> Compatibili
         raise FormatError(f"order {order!r} is not a permutation of 0..{ta.width - 1}")
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
-            nfa = _first_appearance_nfa(order[i], order[j])
-            start = (ta.initial, 0)
-            seen = {start}
-            stack = [start]
-            while stack:
-                s_ta, s_nfa = stack.pop()
-                for m1, v1, tr in ta._cubes[s_ta]:
-                    q = tr.dst
-                    for src, m2, v2, r in nfa:
-                        # The two cubes share a letter when they agree on
-                        # every bit both care about.
-                        if src != s_nfa or (v1 ^ v2) & m1 & m2:
-                            continue
-                        if q in ta.accepting and r == 2:
-                            if ta.n_clocks:
-                                return Compatibility.UNKNOWN
-                            return Compatibility.INCOMPATIBLE
-                        if (q, r) not in seen:
-                            seen.add((q, r))
-                            stack.append((q, r))
+            verdict = _pair_compatibility(ta, order[i], order[j])
+            if verdict is not Compatibility.COMPATIBLE:
+                return verdict
     return Compatibility.COMPATIBLE
 
 
-def order_indices(p: Bgp, order: Sequence[str]) -> list[int]:
-    """Translate an order given as variable names into canonical bit indices."""
-    return [p.edge_index(y) for y in order]
+def _pair_compatibility(ta: TimedAutomaton, early: int, late: int) -> Compatibility:
+    """The verdict on the pair of bits ``early`` before ``late``.
+
+    A reachable accepting state of the clock-relaxed automaton times the
+    recognizer of words where ``late`` first appears strictly before
+    ``early`` is a counterexample.
+    """
+    nfa = _first_appearance_nfa(early, late)
+    start = (ta.initial, 0)
+    seen = {start}
+    stack = [start]
+    while stack:
+        s_ta, s_nfa = stack.pop()
+        for m1, v1, tr in ta._cubes[s_ta]:
+            q = tr.dst
+            for src, m2, v2, r in nfa:
+                # The two cubes share a letter when they agree on
+                # every bit both care about.
+                if src != s_nfa or (v1 ^ v2) & m1 & m2:
+                    continue
+                if q in ta.accepting and r == 2:
+                    if ta.n_clocks:
+                        return Compatibility.UNKNOWN
+                    return Compatibility.INCOMPATIBLE
+                if (q, r) not in seen:
+                    seen.add((q, r))
+                    stack.append((q, r))
+    return Compatibility.COMPATIBLE
+
+
+def _search_order(p: Bgp, ta: TimedAutomaton) -> tuple[str, ...] | None:
+    """The first order, in ``itertools.permutations`` order, that is connected
+    and ``Compatible``; ``None`` when there is none.
+
+    Each ordered pair's verdict is computed once.  Prefixes grow depth-first
+    in declaration order; a prefix is cut as soon as it is disconnected or
+    one of its variables may not precede a variable still to be placed, so
+    every pair of a complete order was checked when its earlier side was
+    placed.
+    """
+    n = len(p.edge_vars)
+    precedes = [
+        [j == k or _pair_compatibility(ta, j, k) is Compatibility.COMPATIBLE for k in range(n)]
+        for j in range(n)
+    ]
+    order: list[int] = []
+
+    def grow(ends: frozenset[str], rest: list[int]) -> bool:
+        if not rest:
+            return True
+        for k in rest:
+            a, b = p.rho[p.edge_vars[k]]
+            if order and a not in ends and b not in ends:
+                continue  # the prefix would fall apart
+            later = [r for r in rest if r != k]
+            if all(precedes[k][r] for r in later):
+                order.append(k)
+                if grow(ends | {a, b}, later):
+                    return True
+                order.pop()
+        return False
+
+    return tuple(p.edge_vars[k] for k in order) if grow(frozenset(), list(range(n))) else None

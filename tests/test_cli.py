@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -161,6 +162,28 @@ def test_check_order_search(capsys):
         "check-order", "--bgp", bgp_file("cycle2u"), "--ta", ta_file("ta1"), "--search"
     ) == 0
     assert capsys.readouterr().out.strip() == "y1,y2"
+
+
+def test_check_order_search_prunes_a_wide_star(tmp_path, capsys):
+    # y9 must fire first and y1..y8 together after it, so the 8 * 8! orders
+    # that start with y1..y8 all fail; the search must cut them as prefixes
+    width = 9
+    star = "".join(f"edge y{k} : x0 -> x{k}\n" for k in range(1, width + 1))
+    nodes = "".join(f"node x{k}\n" for k in range(1, width + 1))
+    (tmp_path / "star.bgp").write_text("node x0\n" + nodes + star)
+    (tmp_path / "first.ta").write_text(
+        "states 3\ninitial 0\naccepting 2\n"
+        f"trans 0 {'0' * width} true - 0\ntrans 0 {'0' * (width - 1)}1 true - 1\n"
+        f"trans 1 {'0' * (width - 1)}* true - 1\ntrans 1 {'1' * (width - 1)}* true - 2\n"
+        f"trans 2 {'*' * width} true - 2\n"
+    )
+    start = time.perf_counter()
+    assert run_cli(
+        "check-order", "--bgp", str(tmp_path / "star.bgp"), "--ta", str(tmp_path / "first.ta"),
+        "--search",
+    ) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.strip() == ",".join(f"y{k}" for k in (9, *range(1, width)))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from tempo_bgp import (
+    ALGORITHMS,
     FormatError,
     OrderIncompatible,
     OrderNotConnected,
@@ -245,3 +246,41 @@ def test_three_way_agreement_smoke(seed, ta):
                     except OrderIncompatible:
                         continue
                     assert res.accepted_set == ref, (seed, distinct, early, order)
+
+
+def clock_gap_automaton(op: str):
+    """``y2`` is active ``c0 op 2`` time units after some activation of ``y1``."""
+    return parse_automaton(
+        "states 3\ninitial 0\naccepting 2\nclocks 1\n"
+        "trans 0 ** true - 0\ntrans 0 1* true 0 1\ntrans 1 ** true - 1\n"
+        f"trans 1 *1 c0{op}2 - 2\ntrans 2 ** true - 2\n",
+        2,
+    )
+
+
+def test_constants_and_guard_boundaries_agree_with_the_oracle(bgp, ta):
+    # the oracle's constant-endpoint check and each comparator's false
+    # branch at the boundary value, against all three engines
+    answered = 0
+    for seed in range(200):
+        g = random_graph(SplitMix64(seed))
+        ref = frozenset(oracle_accepted_matchings(g, bgp["example1"], ta["tae"]))
+        for algo in ALGORITHMS:
+            assert run(algo, g, bgp["example1"], ta["tae"]).accepted_set == ref, (algo, seed)
+        answered += bool(ref)
+    assert answered  # v1 reaches v4 in time on some seed
+
+    p = shape_bgp("path2")
+    automata = {op: clock_gap_automaton(op) for op in ("<", "<=", ">", ">=")}
+    strict_differs = {"<": 0, ">": 0}
+    for seed in range(60):
+        g = random_graph(SplitMix64(1000 + seed), max_edges=8)
+        refs = {}
+        for op, automaton in automata.items():
+            refs[op] = frozenset(oracle_accepted_matchings(g, p, automaton))
+            for algo in ALGORITHMS:
+                assert run(algo, g, p, automaton).accepted_set == refs[op], (op, algo, seed)
+        for op in strict_differs:
+            strict_differs[op] += refs[op] != refs[op + "="]
+    # a gap of exactly 2 separates each strict comparator from its non-strict one
+    assert all(strict_differs.values()), strict_differs

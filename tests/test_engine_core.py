@@ -42,6 +42,15 @@ def test_repeated_timepoint_is_refused(engine, interactions, bgp, ta):
 
 
 @pytest.mark.parametrize("engine", STREAMING)
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_timepoint_is_refused(engine, bad, interactions, bgp, ta):
+    t0, t1 = interactions.domain[:2]
+    stream = [(t0, interactions.snapshots[t0]), (bad, interactions.snapshots[t1])]
+    with pytest.raises(FormatError, match="finite"):
+        engine(interactions, bgp["cycle2"], ta["ta2"], stream=iter(stream))
+
+
+@pytest.mark.parametrize("engine", STREAMING)
 def test_unknown_edge_in_stream_is_refused(engine, interactions, bgp, ta):
     with pytest.raises(ReferentialError):
         engine(interactions, bgp["cycle2"], ta["ta2"], stream=iter([(1.0, frozenset({"nope"}))]))

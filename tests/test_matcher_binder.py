@@ -158,7 +158,7 @@ def test_delta_match_of_every_edge_is_match_total(name, distinct):
 def _prefix_in_rank_order(g, p, order, m):
     """Whether ``m`` binds a prefix of ``order`` with edges first seen at
     non-decreasing ranks: the rows an ordered ``extend`` can reach."""
-    edges = [m.edges[p.edge_index(y)] for y in order]
+    edges = [m.edges[p.edge_vars.index(y)] for y in order]
     bound = [e is not None for e in edges]
     ranks = [g.first_rank[e] for e in edges if e is not None]
     return bound == sorted(bound, reverse=True) and ranks == sorted(ranks)

@@ -189,3 +189,10 @@ class TestPartialEnumeration:
         for a in got:
             for b in got:
                 assert a == b or not a.contains(b)
+
+
+def test_guard_refuses_wide_partial_enumeration():
+    # 2^30 subsets of edge variables, refused before the first one
+    p = parse_bgp("node a\nnode b\n" + "".join(f"edge y{k} : a -> b\n" for k in range(30)))
+    with pytest.raises(OracleGuardError, match="edge-variable subsets"):
+        oracle_enumerate_partials(build_graph({}, {}, {}), p, [])

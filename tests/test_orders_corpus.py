@@ -20,8 +20,9 @@ from tempo_bgp import (
     run_baseline,
     run_partial_match,
 )
+from tempo_bgp.fixtures import fixture_path, load_bgp
 from tempo_bgp.rng import SplitMix64
-from tempo_bgp.timed_automaton import order_indices
+from tempo_bgp.timed_automaton import _search_order, order_indices
 from tempo_bgp.workbench import random_graph, shape_bgp
 
 
@@ -67,3 +68,16 @@ def test_search_finds_known_orders(ta):
     assert find_order(shape_bgp("cycle2"), ta["ta1"]) == ("y1", "y2")
     # mutual exclusion has no first-appearance discipline at all
     assert find_order(shape_bgp("cycle2"), ta["ta6"]) is None
+
+
+def test_pruned_search_finds_the_permutation_loops_order(ta):
+    # every bundled pattern against every bundled automaton of its width
+    checked = set()
+    for path in sorted(fixture_path("bgp").glob("*.bgp")):
+        p = load_bgp(path.stem)
+        for name, a in ta.items():
+            if a.width == p.width:
+                order = find_order(p, a)
+                assert _search_order(p, a) == order, (path.stem, name)
+                checked.add(order is None)
+    assert checked == {True, False}  # both found orders and refusals

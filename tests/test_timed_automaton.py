@@ -111,6 +111,10 @@ def test_repeated_directive_rejected(directive):
     [
         (VALID + "frob 1\n", 2),  # unknown directive
         (VALID.replace("states 2", "states two"), 2),  # malformed directive
+        (VALID.replace("states 2", "states 2 7"), 2),  # one integer, no more
+        (VALID.replace("initial 0", "initial 0 1"), 2),
+        (VALID.replace("clocks 1", "clocks 1 9"), 2),
+        (VALID.replace("clocks 1", "clocks"), 2),
         (VALID + "trans 0 00 true -\n", 2),  # trans with a field missing
         (VALID.replace("states 2\n", ""), 2),  # no states line
         (VALID.replace("c0<3", "c0!3"), 2),  # bad guard atom
@@ -220,6 +224,20 @@ class TestAccepts:
             accepts(ta["ta2"], [(nan, 0b01)])
         with pytest.raises(FormatError):
             accepts(ta["ta2"], [(1.0, 0b01), (nan, 0b10), (3.0, 0b01)])
+        # an infinite timepoint is no point of a temporal domain
+        inf = float("inf")
+        assert accepts(ta["ta7"], [(1.0, 0b11), (5.0, 0b11)])
+        with pytest.raises(FormatError, match="finite"):
+            accepts(ta["ta7"], [(1.0, 0b11), (inf, 0b11)])
+        with pytest.raises(FormatError):
+            accepts(ta["ta7"], [(inf, 0b11)])
+
+    @pytest.mark.parametrize("letter", [0b100, -1, 1 << 40])
+    def test_letter_outside_the_width_rejected(self, ta, letter):
+        # bit 2 of a width-2 letter binds no edge variable
+        assert accepts(ta["ta1"], [(1.0, 0b01)])
+        with pytest.raises(FormatError, match="width 2"):
+            accepts(ta["ta1"], [(1.0, letter)])
 
 
 class TestClassify:
