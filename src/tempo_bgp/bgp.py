@@ -18,9 +18,14 @@ edge first, then grows outward in a connected order, slots before the
 anchor taking only old edges and slots after it old or new ones, so each
 delta matching is built exactly once, at its first new slot.  ``extend``
 is the one producer of partial matchings; like the total matchers, it
-fills isolated node variables once every edge variable is bound.  The
-declaration order of the edge variables is also the canonical bit order
-used by letter bitsets everywhere else in the package.
+fills isolated node variables once every edge variable is bound.  Its
+reach gate tests each row once against the endpoints of the new edges,
+so a row that no new edge can extend yields its identity pair and is
+neither copied nor searched (under an order the test is a table lookup
+and at most one set test); variables with both endpoints unbound draw
+only from the new edges.  The declaration order of the edge variables
+is also the canonical bit order used by letter bitsets everywhere else
+in the package.
 """
 
 from __future__ import annotations
@@ -394,6 +399,42 @@ def delta_match(
 # Partial matchings
 
 
+def _reachable(slot: _Slot, nodes: Sequence[str | None], srcs: set[str], dsts: set[str]) -> bool:
+    """Whether a new edge may bind ``slot`` under ``nodes``: one leaving its
+    bound source, else one entering its bound target, else any."""
+    va, vb = nodes[slot[0]], nodes[slot[1]]
+    if va is not None:
+        return va in srcs
+    return vb is None or vb in dsts
+
+
+def _order_gate(
+    p: Bgp, slots: list[_Slot], slot_order: list[int], srcs: set[str], dsts: set[str]
+) -> list[tuple[int, set[str]] | bool]:
+    """Per prefix length ``k``, whether a row binding ``slot_order[:k]`` can be extended.
+
+    An extension binds ``slot_order[k]`` first.  When the prefix or a
+    constant binds that variable's source, a new edge can fit only if it
+    leaves the bound node, so the entry is ``(node slot, srcs)``; else when
+    its target is bound, ``(node slot, dsts)``; else ``True``, every row is
+    tried.  A constant node's test has one answer for every row, so it is
+    made here; a total row (``k == width``) has nothing left to bind.
+    """
+    n = len(p.node_vars)
+    bound = set(range(n, n + len(p.constants)))
+    gate: list[tuple[int, set[str]] | bool] = []
+    for j in slot_order:
+        sa, sb = slots[j][:2]
+        reach: tuple[int, set[str]] | bool = (
+            (sa, srcs) if sa in bound else (sb, dsts) if sb in bound else True
+        )
+        if reach is not True and reach[0] >= n:
+            reach = p.constants[reach[0] - n] in reach[1]
+        gate.append(reach)
+        bound.update((sa, sb))
+    return gate + [False]
+
+
 def extend(
     g: TemporalGraph,
     p: Bgp,
@@ -416,31 +457,50 @@ def extend(
     generated; ``order`` must be a permutation of the edge variables.
     ``history`` is accepted for contract symmetry; new edges are required to
     belong to it.
+
+    A reach gate skips, before the row is copied and searched, each row
+    that no new edge can extend.  The first variable an extension binds
+    (the lowest-numbered one, or under an order the order's next one)
+    sees only the row's own bindings, so a new edge must leave the row's
+    node bound to its source, else enter the one bound to its target,
+    unless both are unbound.  ``_order_gate`` tabulates this test by
+    prefix length; without an order, the row is tried when some unbound
+    variable passes it.  Variables with both endpoints unbound draw from
+    the new edges alone, in graph order.
     """
     new = set(new_edges)
     if not new.issubset(history):
         raise FormatError("new_edges must be contained in history")
-    slot_order = None if order is None else order_indices(p, order)
+    scan = [e for e in g.edges if e in new]  # the new edges the graph knows
+    srcs = {g.edges[e].src for e in scan}
+    dsts = {g.edges[e].dst for e in scan}
     slots = _slot_table(p)
-    n = len(p.node_vars)
+    n, width = len(p.node_vars), p.width
+    if order is None:
+        slot_order = gate = None
+    else:
+        slot_order = order_indices(p, order)
+        gate = _order_gate(p, slots, slot_order, srcs, dsts)
     fill = _isolated_fill(g, p)
     pairs: list[tuple[Matching, Matching]] = []
     for mu in states_matchings:
         pairs.append((mu, mu))
-        if not new:
-            continue
+        if gate is None:
+            todo = [j for j, e in enumerate(mu.edges) if e is None]
+            values = mu.nodes + p.constants
+            if not any(_reachable(slots[j], values, srcs, dsts) for j in todo):
+                continue
+        else:
+            k = width - mu.edges.count(None)  # the prefix length, if mu binds a prefix
+            reach = gate[k]
+            if reach is False or (reach is not True and mu.nodes[reach[0]] not in reach[1]):
+                continue
+            todo = slot_order[k:]
+            if any(mu.edges[j] is not None for j in todo):
+                continue  # mu itself is not a prefix; nothing to generate
         edges = list(mu.edges)
         nodes = [*mu.nodes, *p.constants]
         used = {e for e in edges if e is not None} if distinct_edges else None
-        if slot_order is None:
-            todo = [j for j, e in enumerate(edges) if e is None]
-        else:
-            k = 0
-            while k < len(slot_order) and edges[slot_order[k]] is not None:
-                k += 1
-            todo = slot_order[k:]
-            if any(edges[j] is not None for j in todo):
-                continue  # mu itself is not a prefix; nothing to generate
 
         def grow(i: int, bound_any: bool) -> None:
             # under an order, leaving todo[i] unbound leaves every later
@@ -456,7 +516,7 @@ def extend(
             if slot_order is None:
                 grow(i + 1, bound_any)
             j = todo[i]
-            for _ in _bind(g, slots[j], nodes, edges, used, j, new):
+            for _ in _bind(g, slots[j], nodes, edges, used, j, new, scan):
                 grow(i + 1, True)
 
         grow(0, False)

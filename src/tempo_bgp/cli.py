@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``match``, ``gen``, ``coarsen``, ``check-order``, ``verify``,
-``bench``.  Exit codes: 0 success / agreement; 1 parse or I/O error;
-2 precondition refusal (e.g. a rejected edge-variable order); 3 oracle
+``bench``.  Exit codes: 0 success / agreement; 1 parse or I/O error, or
+``verify`` finding an engine that disagrees with the oracle; 2
+precondition refusal (e.g. a rejected edge-variable order); 3 oracle
 instance-size guard.
 """
 
@@ -55,8 +56,11 @@ def _parse_order(text, p):
     return names
 
 
-def _timed_run(args, algo, g, p, ta, order):
-    """One engine run under the command's flags; returns the result and its wall time in ms."""
+def _timed_run(args, algo, g, p, ta, order, warn=True):
+    """One engine run under the command's flags; returns the result and its wall time in ms.
+
+    With ``warn``, an order the engine dropped is reported on stderr.
+    """
     start = time.perf_counter()
     result = engine.run(
         algo,
@@ -67,7 +71,10 @@ def _timed_run(args, algo, g, p, ta, order):
         early_exit=not args.no_early_exit,
         distinct_edges=args.distinct_edges,
     )
-    return result, (time.perf_counter() - start) * 1000.0
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    if warn and order is not None and result.counters.warnings:
+        print("warning: order unverifiable against the automaton; ran unordered", file=sys.stderr)
+    return result, wall_ms
 
 
 def _result_lines(p, result, wall_ms):
@@ -84,8 +91,6 @@ def cmd_match(args) -> int:
     g, p, ta = _load_inputs(args)
     order = _parse_order(args.order, p) if args.order else None
     result, wall_ms = _timed_run(args, args.algo, g, p, ta, order)
-    if result.counters.warnings:
-        print("warning: order unverifiable against the automaton; ran unordered", file=sys.stderr)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         for line in _result_lines(p, result, wall_ms):
@@ -166,7 +171,9 @@ def cmd_bench(args) -> int:
     for algo in algos:
         times = []
         for _ in range(args.repeat):
-            result, wall_ms = _timed_run(args, algo, g, p, ta, order if algo == "partial" else None)
+            result, wall_ms = _timed_run(
+                args, algo, g, p, ta, order if algo == "partial" else None, warn=not times
+            )
             times.append(wall_ms)
         c = result.counters
         print(
@@ -216,7 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-order", help="check an edge-variable order")
     add_io(sp, graph=False)
     sp.add_argument("--order", help="comma-separated edge-variable order")
-    sp.add_argument("--search", action="store_true", help="try all orders, print the first that passes")
+    sp.add_argument(
+        "--search",
+        action="store_true",
+        help=(
+            "search the orders depth-first, cutting a prefix once it is disconnected or"
+            " places a variable that may not precede one still to place; print the"
+            " first connected, Compatible order, or NO"
+        ),
+    )
     sp.set_defaults(fn=cmd_check_order)
 
     sp = sub.add_parser("verify", help="run all engines plus the oracle and compare")

@@ -345,3 +345,18 @@ def test_bench_table_format(capsys):
     assert len(lines) == 4
     for line in lines[1:]:
         assert len(line.split("\t")) == 7
+
+
+def test_match_and_bench_warn_when_they_drop_an_order(capsys):
+    # y1,y2 cannot be verified against ta7, so partial runs unordered:
+    # match warns once, bench once per algorithm given the order, not per repeat
+    query = ("--graph", GRAPH_DIR, "--bgp", bgp_file("path2"), "--ta", ta_file("ta7"))
+    warning = "warning: order unverifiable against the automaton; ran unordered"
+    assert run_cli("match", *query, "--algo", "partial", "--order", "y1,y2") == 0
+    assert capsys.readouterr().err.splitlines() == [warning]
+    assert run_cli("bench", *query, "--order", "y1,y2", "--repeat", "3") == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [warning]
+    assert len(captured.out.strip().splitlines()) == 4
+    assert run_cli("bench", *query, "--order", "y1,y2", "--algos", "baseline") == 0
+    assert capsys.readouterr().err == ""

@@ -13,7 +13,9 @@ import pytest
 
 import tempo_bgp
 import tempo_bgp.bgp as bgp_module
+import tempo_bgp.engine as engine_module
 from tempo_bgp import (
+    Matching,
     build_graph,
     delta_match,
     empty_matching,
@@ -22,10 +24,12 @@ from tempo_bgp import (
     match_total,
     oracle_match,
     parse_bgp,
+    run_partial_match,
 )
+from tempo_bgp.fixtures import load_ta
 from tempo_bgp.oracle import oracle_enumerate_partials
 from tempo_bgp.rng import SplitMix64
-from tempo_bgp.workbench import GenSpec, generate_graph
+from tempo_bgp.workbench import GenSpec, generate_graph, shape_bgp, shape_text
 
 PATTERNS = {
     "self_loop": "node x\nnode z\nedge y1 : x -> x\nedge y2 : x -> z\n",
@@ -54,6 +58,17 @@ PATTERNS = {
     "branch": (
         "const v0\nnode a\nnode b\nedge y1 : a -> b\nedge y2 : v0 -> a\nedge y3 : b -> b\n"
     ),
+    # y1 and y2 meet only at the constant, so after either one extend
+    # reaches the other through the constant alone
+    "constant_hub": "const v0\nnode x1\nnode x2\nedge y1 : x1 -> v0\nedge y2 : v0 -> x2\n",
+    # under y2,y1 the self-loop comes first and y1 is reached through its target
+    "path_to_loop": "node a\nnode b\nedge y1 : a -> b\nedge y2 : b -> b\n",
+    # under y2,y1 the next variable's only bound endpoint is its target;
+    # y1,y3,y2 is a disconnected order
+    "path2": shape_text("path2"),
+    "path3": shape_text("path3"),
+    # under y1,y2,y3,y4 the last variable closes the cycle, both ends bound
+    "cycle4": shape_text("cycle4"),
 }
 
 
@@ -155,6 +170,12 @@ def test_delta_match_of_every_edge_is_match_total(name, distinct):
         ), seed
 
 
+def _binds_prefix(p, order, m):
+    """Whether the variables ``m`` binds form a prefix of ``order``."""
+    bound = [m.edges[p.edge_vars.index(y)] is not None for y in order]
+    return bound == sorted(bound, reverse=True)
+
+
 def _prefix_in_rank_order(g, p, order, m):
     """Whether ``m`` binds a prefix of ``order`` with edges first seen at
     non-decreasing ranks: the rows an ordered ``extend`` can reach."""
@@ -194,6 +215,93 @@ def test_extend_telescopes_to_every_partial(name, distinct):
                 if order is not None:
                     want = {m for m in want if _prefix_in_rank_order(g, p, order, m)}
                 assert set(table) == want, (seed, order, i)
+
+
+def _every_matching(g, p, hist, distinct):
+    """Every partial matching over ``hist`` and every total one, isolated node variables filled."""
+    partials = oracle_enumerate_partials(g, p, hist, distinct_edges=distinct)
+    return [
+        *(m for m in partials if None in m.edges),
+        *oracle_match(restricted(g, hist), p, distinct_edges=distinct),
+    ]
+
+
+def _source_row(p, new, m):
+    """``m`` with the variables bound to edges of ``new`` unbound again."""
+    edges = tuple(None if e in new else e for e in m.edges)
+    ends = {end for y, e in zip(p.edge_vars, edges) if e is not None for end in p.rho[y]}
+    total = None not in edges
+    nodes = tuple(
+        v if x in ends or (total and i in p.isolated) else None
+        for i, (x, v) in enumerate(zip(p.node_vars, m.nodes))
+    )
+    return Matching(edges, nodes)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_extend_offers_the_new_edges_to_every_row(name, distinct):
+    # one call on every partial (and total) matching over the history so
+    # far: non-prefix rows, rows no new edge reaches and, under an order,
+    # disconnected orders included.  Each row yields its identity pair,
+    # then exactly its extensions that bind only new edges and, under an
+    # order, bind a prefix of it from a prefix row
+    p = parse_bgp(PATTERNS[name])
+    for seed in SEEDS:
+        g = looped_graph(seed)
+        hist = frozenset()
+        table = _every_matching(g, p, hist, distinct)
+        for i in range(1, len(g.domain) + 1):
+            new = history_upto(g, i) - hist
+            hist = history_upto(g, i)
+            grown = _every_matching(g, p, hist, distinct)
+            for order in [None, *permutations(p.edge_vars)]:
+                want = {mu: set() for mu in table}
+                for m in grown:
+                    mu = _source_row(p, new, m)
+                    if mu != m and (order is None or all(
+                        _binds_prefix(p, order, x) for x in (mu, m)
+                    )):
+                        want[mu].add(m)
+                pairs = extend(g, p, table, new, hist, order=order, distinct_edges=distinct)
+                assert [old for old, m in pairs if m is old] == table, (seed, order, i)
+                got = {mu: set() for mu in table}
+                for old, m in pairs:
+                    if m is old:
+                        row = old
+                    else:
+                        assert old is row, (seed, order, i)  # right after its row's identity
+                        got[old].add(m)
+                assert got == want, (seed, order, i)
+            table = grown
+
+
+@pytest.mark.parametrize(
+    "order, share", [(("y1", "y2", "y3"), 0.25), (None, 1.0)], ids=["ordered", "unordered"]
+)
+def test_extend_skips_the_rows_no_new_edge_reaches(order, share, monkeypatch):
+    # on a sparse, long stream most snapshots bring one edge that extends
+    # few of the table's rows; the reach gate offers it only to those, so
+    # _bind runs for a small share of the rows offered to extend (without
+    # the gate: over one call per row ordered, about 1.4 unordered)
+    g = generate_graph(GenSpec(20, 0.3, 0.01, 200, seed=1))
+    p, ta = shape_bgp("path3"), load_ta("ta4")
+    bind, extend_rows, counts = bgp_module._bind, engine_module.extend, {"bind": 0, "rows": 0}
+
+    def counting_bind(*args):
+        counts["bind"] += 1
+        return bind(*args)
+
+    def counting_extend(g, p, rows, *args, **kwargs):
+        counts["rows"] += len(rows)
+        return extend_rows(g, p, rows, *args, **kwargs)
+
+    monkeypatch.setattr(bgp_module, "_bind", counting_bind)
+    monkeypatch.setattr(engine_module, "extend", counting_extend)
+    res = run_partial_match(g, p, ta, order=order)
+    assert res.counters.generated > 500
+    assert counts["rows"] > 5000
+    assert counts["bind"] <= counts["rows"] * share, counts
 
 
 def test_graphs_have_self_loop_matchings():
