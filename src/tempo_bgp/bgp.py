@@ -20,8 +20,8 @@ delta matching is built exactly once, at its first new slot.  ``extend``
 is the one producer of partial matchings; like the total matchers, it
 fills isolated node variables once every edge variable is bound.  Its
 reach gate tests each row once against the endpoints of the new edges,
-so a row that no new edge can extend yields its identity pair and is
-neither copied nor searched (under an order the test is a table lookup
+so a row that no new edge can extend yields nothing and is neither
+copied nor searched (under an order the test is a table lookup
 and at most one set test); variables with both endpoints unbound draw
 only from the new edges.  The declaration order of the edge variables
 is also the canonical bit order used by letter bitsets everywhere else
@@ -440,23 +440,21 @@ def extend(
     p: Bgp,
     states_matchings: Iterable[Matching],
     new_edges: Iterable[str],
-    history: Iterable[str],
     *,
     order: Sequence[str] | None = None,
     distinct_edges: bool = False,
 ) -> list[tuple[Matching, Matching]]:
-    """Pairs ``(old, new)`` rewriting the working set for a new snapshot.
+    """Pairs ``(source, new)``: the extensions of the tracked matchings for a new snapshot.
 
-    Every tracked matching yields its identity pair, plus one pair per
-    proper extension whose added bindings all use edges first seen in the
-    current snapshot (older edges were already offered to the matching's
-    ancestors, so re-binding them would replay history with the wrong
-    letter prefix).  An extension binding every edge variable yields one
-    pair per fill of the isolated node variables.  With ``order``, only
-    extensions whose bound variables form a prefix of the order are
-    generated; ``order`` must be a permutation of the edge variables.
-    ``history`` is accepted for contract symmetry; new edges are required to
-    belong to it.
+    Each tracked matching yields one pair per proper extension whose added
+    bindings all use edges first seen in the current snapshot (older edges
+    were already offered to the matching's ancestors, so re-binding them
+    would replay history with the wrong letter prefix); the pairs come in
+    the order of their sources.  An extension binding every edge variable
+    yields one pair per fill of the isolated node variables.  With
+    ``order``, only extensions whose bound variables form a prefix of the
+    order are generated; ``order`` must be a permutation of the edge
+    variables.
 
     A reach gate skips, before the row is copied and searched, each row
     that no new edge can extend.  The first variable an extension binds
@@ -469,8 +467,6 @@ def extend(
     the new edges alone, in graph order.
     """
     new = set(new_edges)
-    if not new.issubset(history):
-        raise FormatError("new_edges must be contained in history")
     scan = [e for e in g.edges if e in new]  # the new edges the graph knows
     srcs = {g.edges[e].src for e in scan}
     dsts = {g.edges[e].dst for e in scan}
@@ -484,7 +480,6 @@ def extend(
     fill = _isolated_fill(g, p)
     pairs: list[tuple[Matching, Matching]] = []
     for mu in states_matchings:
-        pairs.append((mu, mu))
         if gate is None:
             todo = [j for j, e in enumerate(mu.edges) if e is None]
             values = mu.nodes + p.constants

@@ -26,20 +26,20 @@ Disabling ``early_exit`` changes counters, never results.  When the
 automaton idles on empty letters (``dead_start``), ``defer_start`` lets
 baseline and on-demand skip the letters before a matching's first edge.
 
-The core does work only where a letter or a state can change.  A row whose
-configurations all lie in idle states (``TimedAutomaton.idle``) is parked,
-once it has read an empty letter: it is not stepped again until a snapshot
-holds one of its bound edges, found through a wake index ``edge -> rows``.
-Parking changes no result and no counter, and tracing changes no step: a
-``Trace`` records a parked row as it stands at every tick it skips.
-
-Rows holding equal configuration sets that read the same letter are
-stepped once: the core's move table maps ``(configs, letter)`` to the
-stepped set, the set early exit keeps, and whether those touch an
-early-accept state or may park.  Without clocks ``step`` never reads the
+The core steps rows set-at-a-time, as bit-parallel automaton simulation
+carries many runs in one machine word.  A row that survives its first
+letter becomes a bit position; rows holding equal configuration sets form
+a group, and an index ``edge -> {slot: rows binding it there}`` splits a
+group into letter classes at every tick.  Each ``(configs, letter)`` class
+moves once, through a move table that maps it to the stepped set, the set
+early exit keeps, whether the stepped set touches an early-accept state
+and whether the kept set rests (lies in ``TimedAutomaton.idle``, where an
+empty letter changes nothing).  Without clocks ``step`` never reads the
 time, so the table lives for the whole run, a lazy subset construction;
-with clocks it is cleared at every tick.  Acceptance stays per row, since
-a partial matching touching an early-accept state is filtered instead.
+with clocks it is cleared at every tick.  A tick on which no row binds an
+edge of the snapshot while every group rests only counts.  Acceptance
+stays per row, since a partial matching touching an early-accept state is
+filtered instead.  Tracing changes no step.
 
 Streams are checked: timepoints must be positive, finite and strictly
 increasing (``FormatError``) and edges known to the graph (``ReferentialError``).
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Iterator, Sequence
 
 from .bgp import (
@@ -75,7 +75,7 @@ from .timed_automaton import (
 Stream = Iterator[tuple[float, frozenset[str]]]
 Configs = frozenset[Config]
 # a move-table entry: the stepped set, the set early exit keeps, whether the
-# stepped set touches an early-accept state, whether the kept set may park
+# stepped set touches an early-accept state, whether the kept set rests
 _Move = tuple[Configs, Configs, bool, bool]
 
 
@@ -83,8 +83,8 @@ _Move = tuple[Configs, Configs, bool, bool]
 class Counters:
     """Work counters of one run.
 
-    ``rows`` counts every configuration advanced by one letter, including
-    the identity steps of parked rows, which are counted but not stepped;
+    ``rows`` counts every configuration advanced by one letter, a class of
+    rows at a time (its size times its configurations);
     ``generated`` counts the matchings found (for partial, the rows
     ``extend`` added), ``early_rejected`` the rows dropped before the end
     of the stream or refused on entry, and ``warnings`` the orders run
@@ -130,8 +130,8 @@ class CatchUpEvent:
 class Trace:
     """Optional per-tick recording, for tests and debugging only.
 
-    Every row gets one ``RowTrace`` per tick; within a tick, parked rows
-    come first, recorded as they stand (letter 0, ``"alive"``).
+    Every row gets one ``RowTrace`` per tick, in no fixed order within the
+    tick.
     """
 
     rows: list[RowTrace] = field(default_factory=list)
@@ -180,43 +180,52 @@ def _letter_bits(edges: Sequence[str | None], snap: frozenset[str]) -> int:
     return bits
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items: list, bits: int) -> Iterator:
+    """The items at the positions set in ``bits``, in order."""
+    # the binary digits, least significant first, as one 0/1 byte per position
+    return compress(items, bin(bits)[:1:-1].encode().translate(_FLAGS))
+
+
 class _Core:
     """The stepping core: entry rule, working table, one-letter tick, replay, end of stream.
 
     ``enter`` is the entry rule of baseline and on-demand, which ``replay``
-    then follows; partial rows enter by copying their source row's
+    then follows; partial rows enter holding their source row's
     configurations instead.
 
-    The working table holds busy rows, stepped at every tick, and parked
-    rows.  A row may park after a step that leaves every configuration it
-    holds in ``ta.idle``: an empty letter then leaves it unchanged, clocks
-    included (they are last-reset times), and its early-exit checks already
-    ran, so stepping it would change nothing.  A parked row is woken, at the
-    start of a tick, by a snapshot holding one of its bound edges, found
-    through the wake index ``edge -> rows``.
+    New rows wait in ``entering`` (configuration set -> rows) and take their
+    first step row at a time, grouped by ``(configs, letter)``; that step is
+    the one place a letter is computed per row.  Only survivors get an id,
+    their position in ``matchings``, so a row that dies on its first letter
+    costs no bitset work.  A live row is then one bit in a few ``int``
+    bitsets:
 
-    A row enters the index when it first parks and leaves it when dropped
-    or accepted, so busy rows come in two groups: ``busy`` rows, never
-    parked, and ``awake`` rows, woken and still indexed.  An awake row parks
-    after every idle step; a busy row parks only after an idle step on the
-    empty letter.  Indexing costs an entry per bound edge, which pays off
-    only for rows whose edges go quiet; on a busy graph rows seldom read an
-    empty letter, so they never enter the index and pay nothing new.  The
-    skipped identity steps still count in ``rows``, and a ``Trace`` records
-    each parked row as it stands.
+    * ``groups`` maps each configuration set to the ids holding it;
+    * ``index`` maps each edge to ``{slot bit: ids binding it there}``;
+    * ``total`` holds the ids of total rows (a partial matching never is).
 
-    Rows hold frozensets shared with the move table ``moves``, keyed by
-    value: ``(configs, letter)`` maps to the stepped set, the set early
-    exit keeps (early-reject states filtered out), whether the stepped set
-    touches an early-accept state and whether the kept set lies in
-    ``idle``.  A hit reuses all four; the letter, the ``rows`` count, the
-    ``is_total`` test before accepting (a partial matching never is), and
-    parking and the wake index stay per row.  A clockless table lives for
-    the whole run; a clocked one is cleared at every tick, since guards
-    and resets read the time.  A move depends only on the automaton and
-    ``early_exit``, so an on-demand catch-up core, built per batch, takes
-    its ``parent``'s table and counters; its ticks clear the shared table
-    too, so no time's moves leak into another.
+    A tick ORs the index entries of the snapshot's edges into one mask per
+    slot, iterating the smaller side, splits each group by those masks into
+    letter classes and moves each class with ``&``/``|``.  Counting stays
+    exact: a class adds its popcount times ``len(configs)`` to ``rows``, and
+    its dropped rows' popcount to ``early_rejected``.  Ids become matchings
+    again only for a class touching an early-accept state (its ``total``
+    rows are accepted), at ``finish`` and when tracing.  When the snapshot
+    holds no indexed edge and every group rests, the tick adds ``resting``
+    to ``rows`` and moves nothing.  Dead ids keep their bits in ``index``
+    and ``total``, never in ``groups``, until at most half the ids are
+    live; the live rows are then renumbered from 0.
+
+    Moves come from the table ``moves``, keyed by value.  A clockless table
+    lives for the whole run; a clocked one is cleared at every tick, since
+    guards and resets read the time.  A move depends only on the automaton
+    and ``early_exit``, so an on-demand catch-up core, built per batch,
+    takes its ``parent``'s table and counters; its ticks clear the shared
+    table too, so no time's moves leak into another.  ``adopt`` merges the
+    catch-up's rows into the run's by shifting its bitsets.
     """
 
     def __init__(self, ta, early_exit, trace, parent: _Core | None = None, defer_start=False):
@@ -229,11 +238,15 @@ class _Core:
         self.accepted: dict[Matching, float] = {}
         # every new row shares this set, as rows share the move table's
         self.seed = frozenset((ta.initial_config(),))
-        self.busy: dict[Matching, Configs] = {}
-        self.awake: dict[Matching, Configs] = {}
-        self.parked: dict[Matching, Configs] = {}
-        self.parked_configs = 0
-        self.wake: dict[str, set[Matching]] = {}
+        self.entering: dict[Configs, list[Matching]] = {}
+        self.matchings: list[Matching] = []
+        self.groups: dict[Configs, int] = {}
+        self.index: dict[str, dict[int, int]] = {}
+        self.dead = 0  # ids given out that no group holds any more
+        # the rows a zero-letter tick counts when every group rests; None when
+        # some group may not rest, or before the first step of the groups
+        self.resting: int | None = None
+        self.total = 0
 
     def enter(self, batch: list[Matching], t: float, first: dict[str, int], n: int):
         """The entry rule: settle ``batch`` at ``t`` if the initial state decides,
@@ -260,123 +273,218 @@ class _Core:
         return entering
 
     def tick(self, snap, t) -> None:
-        """Advance every row one letter: wake the parked rows ``snap`` touches,
-        step the busy ones."""
+        """Advance every row one letter: the live groups by class, then the entering rows."""
         if self.ta.n_clocks:  # guards and resets read t
             self.moves.clear()
-        if self.wake:
-            self._wake(snap)
-        self.counters.rows += self.parked_configs  # the parked rows' identity steps
-        if self.trace is not None:
-            for m, configs in self.parked.items():
-                self.trace.add_row(t, m, 0, configs, "alive")
-        if self.busy:
-            self.busy = self._step(self.busy, snap, t, False)
-        if self.awake:
-            self.awake = self._step(self.awake, snap, t, True)
-
-    def _step(self, rows: dict[Matching, Configs], snap, t, indexed: bool) -> dict:
-        """Step ``rows``, which are all in the wake index or all out of it;
-        returns those that stay busy."""
-        counters, accepted, trace = self.counters, self.accepted, self.trace
-        moves, parked = self.moves, self.parked
-        busy: dict[Matching, Configs] = {}
-        for m, configs in rows.items():
-            bits = _letter_bits(m.edges, snap)
-            counters.rows += len(configs)
-            move = moves.get((configs, bits))
-            if move is None:
-                move = moves[configs, bits] = self._move(configs, bits, t)
-            nxt, kept, touches_accept, rests = move
-            status = "alive"
-            if touches_accept and m.is_total():
-                accepted[m] = t
-                status = "accepted"
+        if self.groups:
+            index = self.index
+            # iterate the smaller side: the index is often far smaller than a snapshot
+            if len(snap) < len(index):
+                hits = [index[e] for e in snap if e in index]
             else:
-                nxt = kept
-            if status == "alive":
-                if not nxt:
-                    status = "dropped"
-                    counters.early_rejected += 1
-                    if indexed:
-                        self._unindex(m)
-                elif rests and (indexed or not bits):
-                    parked[m] = nxt
-                    self.parked_configs += len(nxt)
-                    if not indexed:
-                        self._index(m)
+                hits = [slots for e, slots in index.items() if e in snap] if index else ()
+            if hits or self.resting is None:
+                self._step_groups(hits, t)
+            else:  # every row reads the zero letter and rests: count, move nothing
+                self.counters.rows += self.resting
+                if self.trace is not None:
+                    for configs, rows in self.live().items():
+                        for m in rows:
+                            self.trace.add_row(t, m, 0, configs, "alive")
+        if self.entering:
+            self._step_entering(snap, t)
+
+    def _step_groups(self, hits, t) -> None:
+        """Split every live group into letter classes by ``hits``, the index
+        entries of the snapshot's edges, and move each class."""
+        masks: dict[int, int] = {}  # letter bit -> ids binding an edge of the snapshot there
+        for slots in hits:
+            for bit, ids in slots.items():
+                masks[bit] = masks.get(bit, 0) | ids
+        accepted, trace, moves, matchings = self.accepted, self.trace, self.moves, self.matchings
+        groups: dict[Configs, int] = {}
+        resting: int | None = 0
+        stepped = rejected = dead = 0
+        for configs, ids in self.groups.items():
+            classes = [(0, ids)]
+            for bit, mask in masks.items():
+                if ids & mask:
+                    split = []
+                    for letter, cls in classes:
+                        hit = cls & mask
+                        if hit:
+                            split.append((letter | bit, hit))
+                            if hit != cls:
+                                split.append((letter, cls ^ hit))
+                        else:
+                            split.append((letter, cls))
+                    classes = split
+            for letter, cls in classes:
+                move = moves.get((configs, letter))
+                if move is None:
+                    move = moves[configs, letter] = self._move(configs, letter, t)
+                nxt, kept, touches_accept, rests = move
+                n = cls.bit_count()
+                stepped += n * len(configs)
+                if touches_accept and (won := cls & self.total):
+                    for m in _select(matchings, won):
+                        accepted[m] = t
+                        if trace is not None:
+                            trace.add_row(t, m, letter, nxt, "accepted")
+                    cls ^= won
+                    dead += won.bit_count()
+                    if not cls:
+                        continue
+                    n = cls.bit_count()
+                if kept:
+                    groups[kept] = groups.get(kept, 0) | cls
+                    if resting is not None:
+                        resting = resting + n * len(kept) if rests else None
+                    status = "alive"
                 else:
-                    busy[m] = nxt
-            elif indexed:
-                self._unindex(m)
-            if trace is not None:
-                trace.add_row(t, m, bits, nxt, status)
-        return busy
+                    rejected += n
+                    status = "dropped"
+                if trace is not None:
+                    for m in _select(matchings, cls):
+                        trace.add_row(t, m, letter, kept, status)
+        self.groups, self.resting = groups, resting
+        self.dead += dead + rejected
+        self.counters.rows += stepped
+        self.counters.early_rejected += rejected
+        if 2 * self.dead >= len(matchings):
+            self._renumber()
+
+    def _step_entering(self, snap, t) -> None:
+        """The entering rows' first step, row at a time; the survivors get ids."""
+        counters, accepted, trace, moves = self.counters, self.accepted, self.trace, self.moves
+        letter_bits = _letter_bits
+        resting = self.resting if self.groups else 0
+        survivors: dict[Configs, list[Matching]] = {}
+        for configs, batch in self.entering.items():
+            classes: dict[int, list[Matching]] = {}
+            for m in batch:
+                classes.setdefault(letter_bits(m.edges, snap), []).append(m)
+            for letter, rows in classes.items():
+                move = moves.get((configs, letter))
+                if move is None:
+                    move = moves[configs, letter] = self._move(configs, letter, t)
+                nxt, kept, touches_accept, rests = move
+                counters.rows += len(rows) * len(configs)
+                if touches_accept:
+                    alive = []
+                    for m in rows:
+                        if m.is_total():
+                            accepted[m] = t
+                            if trace is not None:
+                                trace.add_row(t, m, letter, nxt, "accepted")
+                        else:
+                            alive.append(m)
+                    rows = alive
+                if kept:
+                    survivors.setdefault(kept, []).extend(rows)
+                    if resting is not None:
+                        resting = resting + len(rows) * len(kept) if rests else None
+                    status = "alive"
+                else:
+                    counters.early_rejected += len(rows)
+                    status = "dropped"
+                if trace is not None:
+                    for m in rows:
+                        trace.add_row(t, m, letter, kept, status)
+        self.entering = {}
+        self._admit(survivors)
+        self.resting = resting
 
     def _move(self, configs: Configs, letter: int, t: float) -> _Move:
         """Step ``configs`` on ``letter`` at ``t`` and work out what every row
         holding them would check next."""
-        ta, idle = self.ta, self.ta.idle
+        ta = self.ta
         nxt = frozenset(step(ta, configs, letter, t))
         kept, touches_accept = nxt, False
         if self.early_exit and nxt:
             touches_accept = any(s in ta.early_accept for s, _ in nxt)
             if ta.early_reject:
                 kept = frozenset(c for c in nxt if c[0] not in ta.early_reject)
-        rests = all(s in idle for s, _ in kept)  # an empty set is dropped first
-        return nxt, kept, touches_accept, rests
+        return nxt, kept, touches_accept, all(s in ta.idle for s, _ in kept)
 
-    def _wake(self, snap: frozenset[str]) -> None:
-        """Move the parked rows binding an edge of ``snap`` to the awake rows."""
-        wake, parked, awake = self.wake, self.parked, self.awake
-        # iterate the smaller side: the index is often far smaller than a snapshot
-        if len(snap) < len(wake):
-            hits = [wake[e] for e in snap if e in wake]
-        else:
-            hits = [rows for e, rows in wake.items() if e in snap]
-        for rows in hits:
-            for m in rows:
-                configs = parked.pop(m, None)
-                if configs is not None:
-                    awake[m] = configs
-                    self.parked_configs -= len(configs)
+    def _admit(self, rows: dict[Configs, list[Matching]]) -> None:
+        """Give ``rows`` ids, one block of consecutive ids per configuration set;
+        the caller keeps ``resting``."""
+        matchings, groups, index = self.matchings, self.groups, self.index
+        for configs, batch in rows.items():
+            if not batch:
+                continue
+            bit = 1 << len(matchings)
+            groups[configs] = groups.get(configs, 0) | (bit << len(batch)) - bit
+            matchings.extend(batch)
+            for m in batch:
+                if m.is_total():
+                    self.total |= bit
+                slot = 1
+                for e in m.edges:
+                    if e is not None:
+                        slots = index.get(e)
+                        if slots is None:
+                            slots = index[e] = {}
+                        slots[slot] = slots.get(slot, 0) | bit
+                    slot <<= 1
+                bit <<= 1
 
-    def _index(self, m: Matching) -> None:
-        for e in m.edges:
-            if e is not None:
-                self.wake.setdefault(e, set()).add(m)
+    def _renumber(self) -> None:
+        """Give the live rows fresh ids from 0, dropping the dead ids' bits."""
+        live = self.live()
+        self.matchings, self.groups, self.index, self.total, self.dead = [], {}, {}, 0, 0
+        self._admit(live)
 
-    def _unindex(self, m: Matching) -> None:
-        wake = self.wake
-        for e in m.edges:
-            rows = wake.get(e)  # None for an unbound edge, or one bound twice and gone
-            if rows is not None:
-                rows.discard(m)
-                if not rows:
-                    del wake[e]
+    def live(self) -> dict[Configs, list[Matching]]:
+        """The live rows by configuration set, entering ones excluded."""
+        matchings = self.matchings
+        return {
+            configs: list(_select(matchings, ids)) for configs, ids in self.groups.items()
+        }
 
-    def rows(self) -> dict[Matching, Configs]:
-        """Every row and its configurations, busy or parked."""
-        return self.busy | self.awake | self.parked
+    def adopt(self, other: _Core) -> None:
+        """Merge ``other``'s rows, live and entering, into this core's, shifting its ids."""
+        if other.groups:
+            if self.resting is None or other.resting is None:
+                self.resting = None
+            else:
+                self.resting += other.resting
+        self.dead += other.dead
+        base = len(self.matchings)
+        self.matchings += other.matchings
+        self.total |= other.total << base
+        for configs, ids in other.groups.items():
+            self.groups[configs] = self.groups.get(configs, 0) | ids << base
+        for e, theirs in other.index.items():
+            slots = self.index.setdefault(e, {})
+            for slot, ids in theirs.items():
+                slots[slot] = slots.get(slot, 0) | ids << base
+        for configs, batch in other.entering.items():
+            self.entering.setdefault(configs, []).extend(batch)
 
     def replay(self, entering: dict[int, list[Matching]], snapshots) -> None:
         """Seed ``entering[i]`` before ``snapshots[i]`` (after the last one for
         ``i == len(snapshots)``) and step to the end."""
-        seed, n = self.seed, len(snapshots)
+        n = len(snapshots)
         for i in range(min(entering, default=n), n):
             if i in entering:
-                self.busy.update(zip(entering[i], repeat(seed)))
-            if self.busy or self.awake or self.parked:
+                self.entering.setdefault(self.seed, []).extend(entering[i])
+            if self.groups or self.entering:
                 t, snap = snapshots[i]
                 self.tick(snap, t)
-        self.busy.update(zip(entering.get(n, ()), repeat(seed)))
+        if n in entering:
+            self.entering.setdefault(self.seed, []).extend(entering[n])
 
     def finish(self, t: float) -> EngineResult:
         """End of stream: rows holding an accepting configuration are accepted at ``t``."""
         accepting, accepted = self.ta.accepting, self.accepted
-        for m, configs in self.rows().items():
-            if any(s in accepting for s, _ in configs) and m.is_total():
-                accepted[m] = t
+        for configs, ids in self.groups.items():
+            if any(s in accepting for s, _ in configs):
+                accepted.update(zip(_select(self.matchings, ids & self.total), repeat(t)))
+        for configs, batch in self.entering.items():
+            if any(s in accepting for s, _ in configs):
+                accepted.update((m, t) for m in batch if m.is_total())
         # accepted matchings are total and distinct, so they sort as they are
         return EngineResult(sorted(accepted.items()), self.counters)
 
@@ -462,7 +570,7 @@ def run_on_demand(
                 catch_up = _Core(ta, early_exit, None if trace is None else Trace(), core)
                 catch_up.replay(entering, past)
                 # the survivors are stepped on this snapshot, which holds their new edge
-                core.busy.update(catch_up.rows())
+                core.adopt(catch_up)
                 core.accepted.update(zip(catch_up.accepted, repeat(t)))
                 if trace is not None:
                     _record_catch_up(trace, catch_up.trace, batch, t, core.seed)
@@ -516,23 +624,25 @@ def run_partial_match(
             core.counters.warnings += 1
             order = None
 
-    core.busy[empty_matching(p)] = core.seed
+    empty = empty_matching(p)
+    core._admit({core.seed: [empty]})  # it binds no edge, so it needs no per-row first step
     if trace is not None:
-        trace.add_row(0.0, empty_matching(p), 0, core.seed, "alive")
-    history: set[str] = set()
+        trace.add_row(0.0, empty, 0, core.seed, "alive")
     t = 0.0
-    for t, snap, new_edges in _snapshots(g, stream, history):
-        if new_edges and (table := core.rows()):
-            pairs = extend(
-                g, p, list(table), new_edges, history, order=order, distinct_edges=distinct_edges
-            )
-            # one identity pair per row, the rest are new busy rows (no two
-            # alike: an extension's older edges are exactly its source row's);
-            # configurations are frozensets, so rows share their source's
-            core.counters.generated += len(pairs) - len(table)
-            for old, new in pairs:
-                if new is not old:
-                    core.busy[new] = table[old]
+    for t, snap, new_edges in _snapshots(g, stream, set()):
+        if new_edges and core.groups:
+            live = core.live()
+            rows = list(chain.from_iterable(live.values()))
+            grown = extend(g, p, rows, new_edges, order=order, distinct_edges=distinct_edges)
+            core.counters.generated += len(grown)
+            # an extension enters holding its source's configurations; the
+            # pairs come in the order of their sources, so one walk finds them
+            held = ((m, configs) for configs, batch in live.items() for m in batch)
+            row = configs = None
+            for source, m in grown:
+                while row is not source:
+                    row, configs = next(held)
+                core.entering.setdefault(configs, []).append(m)
         core.tick(snap, t)
     return core.finish(t)
 

@@ -8,6 +8,7 @@ else is fast.
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -271,11 +272,11 @@ def test_criterion_07_extension_prefix_property(ta):
         for i in range(1, len(g.domain) + 1):
             new = set(history_upto(g, i)) - hist
             hist |= new
-            pairs = extend(g, p, table, new, hist)
+            pairs = extend(g, p, table, new)
             for old, ext in pairs:
                 if oracle_word(g, p, old)[: i - 1] != oracle_word(g, p, ext)[: i - 1]:
                     violations += 1
-            table = sorted({b for _, b in pairs}, key=lambda m: str(m.edges))
+            table = sorted({*table, *(b for _, b in pairs)}, key=lambda m: str(m.edges))
     assert violations == 0
 
 
@@ -301,14 +302,21 @@ def _timed_baseline(g, p, a, repeats=2):
 def test_criterion_08_automaton_size_invariance(bench_graph):
     p = shape_bgp("cycle4")
     run_baseline(bench_graph, p, ring_automaton(4))  # warm-up
-    accepted = []
-    times = []
+    sizes = []
     for laps in (1, 2, 4, 8, 16, 32, 64):
         a = ring_automaton(4, laps=laps)
         assert a.n_states == 4 * laps
-        result, best = _timed_baseline(bench_graph, p, a)
-        accepted.append(result.accepted_set)
-        times.append(best)
+        sizes.append(a)
+    accepted = []
+    times = [math.inf] * len(sizes)
+    # round-robin, best per size over the rounds: a slow phase of the host
+    # then slows one round of every size, not a block of consecutive sizes
+    for _ in range(3):
+        for k, a in enumerate(sizes):
+            t0 = time.perf_counter()
+            result = run_baseline(bench_graph, p, a)
+            times[k] = min(times[k], time.perf_counter() - t0)
+            accepted.append(result.accepted_set)
     assert all(s == accepted[0] for s in accepted)
     spread = max(times) / min(times) - 1.0
     assert spread < 0.25, f"run time spread {spread:.2%} across sizes {times}"

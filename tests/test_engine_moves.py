@@ -1,7 +1,8 @@
 """The move table: the stepping core steps each distinct (configurations, letter) once.
 
-``_Core`` keeps one table ``(configs, letter) -> move`` for every row it
-steps.  A clockless table lives for the whole run; a clocked one holds
+``_Core`` keeps one table ``(configs, letter) -> move`` for every class of
+rows it steps, and reads a live row's letter from per-slot bitsets, never
+row by row.  A clockless table lives for the whole run; a clocked one holds
 one tick's moves only, since guards and resets read the time.  What a
 move cannot know stays per row: a partial matching touching an
 early-accept state is filtered, never accepted.
@@ -57,6 +58,27 @@ def test_equal_moves_are_stepped_once(name, spec, shape, automaton, monkeypatch)
     res = ENGINES[name](g, p, ta)
     assert res.counters.rows > 1000
     assert calls[0] <= res.counters.rows / 10, (calls[0], res.counters.rows)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_letters_are_read_once_per_entering_row(name, traced, monkeypatch):
+    # a row that survives its first step becomes a bit position, and a tick
+    # reads the letters of whole groups from per-slot bitsets; only an
+    # entering row's first step computes a letter of its own (partial's
+    # empty row may be one more)
+    g = generate_graph(GenSpec(10, 0.5, 0.3, 100, seed=7))
+    p, ta = shape_bgp("path2"), load_ta("ta7")
+    letter_bits, calls = engine_module._letter_bits, [0]
+
+    def counting_letter_bits(*args):
+        calls[0] += 1
+        return letter_bits(*args)
+
+    monkeypatch.setattr(engine_module, "_letter_bits", counting_letter_bits)
+    res = ENGINES[name](g, p, ta, trace=Trace() if traced else None)
+    assert res.counters.rows > 1000
+    assert calls[0] <= res.counters.generated + (name == "partial"), (calls[0], res.counters)
 
 
 # -- the table's scope --------------------------------------------------------

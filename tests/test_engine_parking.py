@@ -1,11 +1,12 @@
-"""Parked rows: the stepping core skips rows an empty letter cannot change.
+"""Idle rows: the stepping core skips work an empty letter cannot change.
 
-A row parks once all its configurations lie in ``TimedAutomaton.idle``
-and wakes when a snapshot holds one of its bound edges.  The skip must be
-exact: a baseline run without early exit or deferred start must count the
-rows and rejections the oracle's run, which steps every letter, implies.
-Traced and untraced runs take the same stepping path, and must agree on
-every result and counter.
+An empty letter leaves configurations in ``TimedAutomaton.idle`` as they
+are.  The core moves a whole group of such rows with one lookup, and a
+tick on which every group rests and no row binds an edge of the snapshot
+only counts.  The skip must be exact: a baseline run without early exit
+or deferred start must count the rows and rejections the oracle's run,
+which steps every letter, implies.  Traced and untraced runs take the
+same stepping path, and must agree on every result and counter.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def test_a_guarded_zero_letter_move_is_not_idle():
     assert step(ta7, {stay}, 0, 5.0) == {(2, (0.0,))}
 
 
-# -- parking against the oracle, and traced against untraced ----------------
+# -- skipping against the oracle, and traced against untraced ---------------
 
 
 def self_loop_graph(seed: int, n_snapshots: int = 30):

@@ -101,10 +101,10 @@ def test_prefix_agreement_of_extensions(seed):
     for i in range(1, len(g.domain) + 1):
         new = set(history_upto(g, i)) - hist
         hist |= new
-        pairs = extend(g, p, table, new, hist)
+        pairs = extend(g, p, table, new)
         for old, new_m in pairs:
             assert oracle_word(g, p, old)[: i - 1] == oracle_word(g, p, new_m)[: i - 1]
-        table = sorted({b for _, b in pairs}, key=lambda m: str(m.edges))
+        table = sorted({*table, *(b for _, b in pairs)}, key=lambda m: str(m.edges))
 
 
 @given(
