@@ -11,7 +11,8 @@ end-of-stream acceptance; the engines differ only in how rows enter:
 * ``run_on_demand`` consumes snapshots as a stream.  Matchings are found
   when their last edge enters the history, and each snapshot's batch is
   caught up by the same replay over the snapshots seen so far; catch-up
-  acceptances are stamped with the discovery time.
+  acceptances are stamped with the discovery time, and the survivors join
+  the run's table as any new row does.
 * ``run_partial_match`` also tracks partial matchings, so new rows inherit
   live configurations from the row they extend and nothing is replayed.
   Extensions only bind edges first seen in the current snapshot; older
@@ -215,17 +216,17 @@ class _Core:
     again only for a class touching an early-accept state (its ``total``
     rows are accepted), at ``finish`` and when tracing.  When the snapshot
     holds no indexed edge and every group rests, the tick adds ``resting``
-    to ``rows`` and moves nothing.  Dead ids keep their bits in ``index``
-    and ``total``, never in ``groups``, until at most half the ids are
-    live; the live rows are then renumbered from 0.
+    to ``rows`` and moves nothing.  An id that leaves ``groups`` keeps its
+    bits in ``index`` and ``total`` until a step leaves at most half the
+    ids in ``groups``; the live rows are then renumbered from 0.
+    ``_admit`` is the one place a row gets an id.
 
     Moves come from the table ``moves``, keyed by value.  A clockless table
     lives for the whole run; a clocked one is cleared at every tick, since
     guards and resets read the time.  A move depends only on the automaton
-    and ``early_exit``, so an on-demand catch-up core, built per batch,
-    takes its ``parent``'s table and counters; its ticks clear the shared
-    table too, so no time's moves leak into another.  ``adopt`` merges the
-    catch-up's rows into the run's by shifting its bitsets.
+    and ``early_exit``, so the child core that ``catch_up`` builds per
+    on-demand batch takes its ``parent``'s table and counters; its ticks
+    clear the shared table too, so no time's moves leak into another.
     """
 
     def __init__(self, ta, early_exit, trace, parent: _Core | None = None, defer_start=False):
@@ -242,7 +243,6 @@ class _Core:
         self.matchings: list[Matching] = []
         self.groups: dict[Configs, int] = {}
         self.index: dict[str, dict[int, int]] = {}
-        self.dead = 0  # ids given out that no group holds any more
         # the rows a zero-letter tick counts when every group rests; None when
         # some group may not rest, or before the first step of the groups
         self.resting: int | None = None
@@ -304,7 +304,7 @@ class _Core:
         accepted, trace, moves, matchings = self.accepted, self.trace, self.moves, self.matchings
         groups: dict[Configs, int] = {}
         resting: int | None = 0
-        stepped = rejected = dead = 0
+        stepped = rejected = live = 0
         for configs, ids in self.groups.items():
             classes = [(0, ids)]
             for bit, mask in masks.items():
@@ -332,12 +332,12 @@ class _Core:
                         if trace is not None:
                             trace.add_row(t, m, letter, nxt, "accepted")
                     cls ^= won
-                    dead += won.bit_count()
                     if not cls:
                         continue
                     n = cls.bit_count()
                 if kept:
                     groups[kept] = groups.get(kept, 0) | cls
+                    live += n
                     if resting is not None:
                         resting = resting + n * len(kept) if rests else None
                     status = "alive"
@@ -348,10 +348,9 @@ class _Core:
                     for m in _select(matchings, cls):
                         trace.add_row(t, m, letter, kept, status)
         self.groups, self.resting = groups, resting
-        self.dead += dead + rejected
         self.counters.rows += stepped
         self.counters.early_rejected += rejected
-        if 2 * self.dead >= len(matchings):
+        if 2 * live <= len(matchings):
             self._renumber()
 
     def _step_entering(self, snap, t) -> None:
@@ -433,7 +432,7 @@ class _Core:
     def _renumber(self) -> None:
         """Give the live rows fresh ids from 0, dropping the dead ids' bits."""
         live = self.live()
-        self.matchings, self.groups, self.index, self.total, self.dead = [], {}, {}, 0, 0
+        self.matchings, self.groups, self.index, self.total = [], {}, {}, 0
         self._admit(live)
 
     def live(self) -> dict[Configs, list[Matching]]:
@@ -442,26 +441,6 @@ class _Core:
         return {
             configs: list(_select(matchings, ids)) for configs, ids in self.groups.items()
         }
-
-    def adopt(self, other: _Core) -> None:
-        """Merge ``other``'s rows, live and entering, into this core's, shifting its ids."""
-        if other.groups:
-            if self.resting is None or other.resting is None:
-                self.resting = None
-            else:
-                self.resting += other.resting
-        self.dead += other.dead
-        base = len(self.matchings)
-        self.matchings += other.matchings
-        self.total |= other.total << base
-        for configs, ids in other.groups.items():
-            self.groups[configs] = self.groups.get(configs, 0) | ids << base
-        for e, theirs in other.index.items():
-            slots = self.index.setdefault(e, {})
-            for slot, ids in theirs.items():
-                slots[slot] = slots.get(slot, 0) | ids << base
-        for configs, batch in other.entering.items():
-            self.entering.setdefault(configs, []).extend(batch)
 
     def replay(self, entering: dict[int, list[Matching]], snapshots) -> None:
         """Seed ``entering[i]`` before ``snapshots[i]`` (after the last one for
@@ -475,6 +454,30 @@ class _Core:
                 self.tick(snap, t)
         if n in entering:
             self.entering.setdefault(self.seed, []).extend(entering[n])
+
+    def catch_up(self, entering: dict[int, list[Matching]], snapshots, t: float, batch) -> None:
+        """Replay ``entering`` over ``snapshots`` in a child core, then take its
+        rows in: live ones through ``_admit``, entering ones as they stand.  Its
+        acceptances are stamped ``t``, the discovery time, and a trace gets one
+        ``CatchUpEvent`` per matching of ``batch``."""
+        child = _Core(self.ta, self.early_exit, None if self.trace is None else Trace(), self)
+        child.replay(entering, snapshots)
+        self._admit(child.live())
+        for configs, rows in child.entering.items():
+            self.entering.setdefault(configs, []).extend(rows)
+        self.accepted.update(zip(child.accepted, repeat(t)))
+        # the next tick is on the snapshot holding every survivor's new edge,
+        # so it steps the groups and recounts resting
+        self.resting = None
+        if self.trace is not None:
+            # each replayed matching's last row says where its replay ended
+            last = {r.matching: r for r in child.trace.rows}
+            for m in batch:
+                r = last.get(m)
+                if r is None:  # joined after the last letter seen so far
+                    self.trace.add_event(m, t, self.seed, None)
+                else:
+                    self.trace.add_event(m, t, r.configs, r.t if r.status == "dropped" else None)
 
     def finish(self, t: float) -> EngineResult:
         """End of stream: rows holding an accepting configuration are accepted at ``t``."""
@@ -566,29 +569,11 @@ def run_on_demand(
             batch = delta_match(g, p, first, new_edges, distinct_edges=distinct_edges)
             core.counters.generated += len(batch)
             if batch and (entering := core.enter(batch, t, first, len(past))):
-                # catch-up keeps its own acceptances (restamped at discovery) and rows
-                catch_up = _Core(ta, early_exit, None if trace is None else Trace(), core)
-                catch_up.replay(entering, past)
-                # the survivors are stepped on this snapshot, which holds their new edge
-                core.adopt(catch_up)
-                core.accepted.update(zip(catch_up.accepted, repeat(t)))
-                if trace is not None:
-                    _record_catch_up(trace, catch_up.trace, batch, t, core.seed)
+                core.catch_up(entering, past, t, batch)
             first.update(zip(new_edges, repeat(len(past))))
         core.tick(snap, t)
         past.append((t, snap))
     return core.finish(t)
-
-
-def _record_catch_up(trace: Trace, replayed: Trace, batch, t, seed) -> None:
-    """One event per replayed matching, read off the replay's last row for it."""
-    last = {r.matching: r for r in replayed.rows}
-    for m in batch:
-        r = last.get(m)
-        if r is None:  # joined after the last letter seen so far
-            trace.add_event(m, t, seed, None)
-        else:
-            trace.add_event(m, t, r.configs, r.t if r.status == "dropped" else None)
 
 
 def run_partial_match(

@@ -1,8 +1,6 @@
 """Bundled fixture data: the running-example graph, patterns, automata.
 
-Automaton fixture widths (edge-variable counts): ``tae``, ``ta0_m2`` and
-``ta1`` through ``ta8`` are 2-wide except ``ta4`` (3); ``ta0_m3`` is 3 and
-``ta0_m4`` is 4.
+``TA_WIDTHS`` holds each automaton fixture's width (its edge-variable count).
 """
 
 from __future__ import annotations

@@ -197,9 +197,9 @@ TWICE = TimedAutomaton(
 @pytest.mark.parametrize("early_exit", [True, False])
 def test_a_matching_binding_one_edge_twice_parks_and_leaves_the_index(name, early_exit):
     # the self-loops e0 and e1 each make a matching binding them twice;
-    # both park on the empty letter at t=2, wake on their edge's second
-    # activation and are rejected (e0, at t=3) or accepted (e1, at t=2.5),
-    # leaving the index
+    # both rest on the empty letter at t=2, move again on their edge's
+    # second activation and are rejected (e0, at t=3) or accepted (e1, at
+    # t=2.5), leaving their group
     g = build_graph(
         {"a": "n", "b": "n"},
         {"e0": ("a", "a", "e"), "e1": ("b", "b", "e"), "e2": ("a", "b", "e")},
@@ -213,7 +213,7 @@ def test_a_matching_binding_one_edge_twice_parks_and_leaves_the_index(name, earl
     assert outcome(res) == outcome(traced)
 
 
-# -- a machine-independent guard: parked rows are not stepped ----------------
+# -- a machine-independent guard: resting rows are not stepped ---------------
 
 
 @pytest.mark.parametrize("name", sorted(ENGINES))
@@ -235,8 +235,9 @@ def test_parked_rows_are_not_stepped(name, monkeypatch):
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_parked_rows_are_not_visited(name, traced, monkeypatch):
-    # step runs only on move-table misses; _letter_bits runs once per
-    # stepped row, hit or miss, so it sees a parked row that is stepped
+    # step runs only on move-table misses; _letter_bits runs once per row
+    # stepped on its own, hit or miss, so it sees a live row that is
+    # stepped row at a time instead of with its class
     g = generate_graph(GenSpec(12, 0.3, 0.02, 200, seed=1))
     p, ta = shape_bgp("path3"), load_ta("ta4")
     letter_bits, visits = engine_module._letter_bits, [0]

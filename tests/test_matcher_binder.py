@@ -311,8 +311,9 @@ _CORPUS = """
 import hashlib
 from itertools import permutations
 from tempo_bgp import delta_match, empty_matching, extend, history_upto, parse_bgp
+from tempo_bgp import run_baseline, run_on_demand, run_partial_match
 from tempo_bgp.rng import SplitMix64
-from tempo_bgp.workbench import SHAPE_NAMES, random_graph, shape_text
+from tempo_bgp.workbench import SHAPE_NAMES, random_graph, ring_automaton, shape_text
 
 texts = [shape_text(name) for name in SHAPE_NAMES] + [%r, %r]
 outs = []
@@ -320,6 +321,11 @@ for seed in range(8):
     g = random_graph(SplitMix64(seed), max_nodes=6, max_edges=12)
     for text in texts:
         p = parse_bgp(text)
+        ta = ring_automaton(p.width)
+        for engine in (run_baseline, run_on_demand, run_partial_match):
+            res = engine(g, p, ta)
+            c = res.counters
+            outs.append(repr((res.accepted, c.rows, c.generated, c.early_rejected, c.warnings)))
         for order in [None, *permutations(p.edge_vars)]:
             table = [empty_matching(p)]
             hist = frozenset()
@@ -336,9 +342,9 @@ print(len(outs), hashlib.sha256("\\n".join(outs).encode()).hexdigest())
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():
-    # the anchored join reads new edges out of a set, whose iteration
-    # order follows the string hash seed; no output, pair order included,
-    # may follow it
+    # the anchored join reads new edges out of a set, and the engines'
+    # ticks read snapshots, whose iteration order follows the string hash
+    # seed; no output, pair order included, may follow it
     src = str(Path(tempo_bgp.__file__).resolve().parents[1])
     outs = []
     for hash_seed in ("0", "1", "4242"):
