@@ -492,15 +492,16 @@ class _Core:
         return EngineResult(sorted(accepted.items()), self.counters)
 
 
-def _snapshots(g: TemporalGraph, stream: Stream | None, history: set[str]):
+def _snapshots(g: TemporalGraph, stream: Stream | None):
     """The checked snapshot loop: ``(t, snap, new_edges)`` per snapshot of ``stream``.
 
-    A snapshot's new edges join ``history`` before it is yielded.  Only new
+    A snapshot's new edges are those no earlier snapshot held.  Only new
     edges are checked, so idle snapshots cost nothing extra.
     """
     if stream is None:
         stream = ((t, g.snapshots[t]) for t in g.domain)
     edges = g.edges
+    history: set[str] = set()
     prev = 0.0
     for t, snap in stream:
         if not prev < t < math.inf:
@@ -564,7 +565,7 @@ def run_on_demand(
     past: list[tuple[float, frozenset[str]]] = []
     first: dict[str, int] = {}  # edge -> index in past of the snapshot that first held it
     t = 0.0
-    for t, snap, new_edges in _snapshots(g, stream, set()):
+    for t, snap, new_edges in _snapshots(g, stream):
         if new_edges:
             batch = delta_match(g, p, first, new_edges, distinct_edges=distinct_edges)
             core.counters.generated += len(batch)
@@ -614,7 +615,7 @@ def run_partial_match(
     if trace is not None:
         trace.add_row(0.0, empty, 0, core.seed, "alive")
     t = 0.0
-    for t, snap, new_edges in _snapshots(g, stream, set()):
+    for t, snap, new_edges in _snapshots(g, stream):
         if new_edges and core.groups:
             live = core.live()
             rows = list(chain.from_iterable(live.values()))

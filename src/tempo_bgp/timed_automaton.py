@@ -25,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .bgp import Bgp, order_indices
 from .errors import FormatError
@@ -199,42 +199,35 @@ def accepts(ta: TimedAutomaton, word: Sequence[tuple[float, int]]) -> bool:
 
 
 def classify_states(ta: TimedAutomaton) -> tuple[frozenset[int], frozenset[int]]:
-    """Early-accept and early-reject state sets.
+    """Early-accept and early-reject state sets, by two reverse searches.
 
-    Reachability ignores guards entirely.  Early acceptance additionally
-    requires every reachable state to cover all ``2^width`` letters with
-    guard-free transitions; otherwise a run could still die on a future
-    letter and the matching would wrongly be emitted.
+    Reachability ignores guards entirely.  A state is early-reject when no
+    accepting state is reachable from it.  It is early-accept when no bad
+    state is: one that is not accepting, or that does not cover all
+    ``2^width`` letters with guard-free transitions, since there a run
+    could still die on a future letter and the matching would wrongly be
+    emitted.
     """
-    succ: dict[int, set[int]] = {s: set() for s in range(ta.n_states)}
+    pred: list[set[int]] = [set() for _ in range(ta.n_states)]
     for tr in ta.transitions:
-        succ[tr.src].add(tr.dst)
+        pred[tr.dst].add(tr.src)
 
-    reach: dict[int, set[int]] = {}
-    for s in range(ta.n_states):
-        seen = {s}
-        stack = [s]
+    def reaching(targets: Iterable[int]) -> set[int]:
+        seen = set(targets)
+        stack = list(seen)
         while stack:
-            q = stack.pop()
-            for r in succ[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        reach[s] = seen
+            for q in pred[stack.pop()] - seen:
+                seen.add(q)
+                stack.append(q)
+        return seen
 
-    total_cache = {
-        s: _covers_all_letters([(m, v) for m, v, tr in ta._cubes[s] if not tr.guard])
-        for s in range(ta.n_states)
-    }
-    early_accept = frozenset(
+    everything = frozenset(range(ta.n_states))
+    bad = everything - {
         s
-        for s in range(ta.n_states)
-        if all(q in ta.accepting and total_cache[q] for q in reach[s])
-    )
-    early_reject = frozenset(
-        s for s in range(ta.n_states) if not (reach[s] & ta.accepting)
-    )
-    return early_accept, early_reject
+        for s in ta.accepting
+        if _covers_all_letters([(m, v) for m, v, tr in ta._cubes[s] if not tr.guard])
+    }
+    return everything - reaching(bad), everything - reaching(ta.accepting)
 
 
 def _covers_all_letters(cubes: list[tuple[int, int]]) -> bool:
@@ -361,6 +354,14 @@ class Compatibility(Enum):
     UNKNOWN = "Unknown"
 
 
+def _joins(ends: Collection[str], a: str, b: str) -> bool:
+    """Whether an edge ``a -> b`` may follow a prefix touching the nodes ``ends``.
+
+    It may when the prefix is empty or the edge shares an endpoint with it.
+    """
+    return not ends or a in ends or b in ends
+
+
 def is_connected_order(p: Bgp, order: Sequence[str]) -> bool:
     """Whether every prefix of ``order`` induces a connected subpattern.
 
@@ -368,56 +369,24 @@ def is_connected_order(p: Bgp, order: Sequence[str]) -> bool:
     counting as vertices.
     """
     order_indices(p, order)  # refuses a non-permutation
-    comp: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    n_components = 0
+    ends: set[str] = set()
     for y in order:
         a, b = p.rho[y]
-        for v in (a, b):
-            if v not in comp:
-                comp[v] = v
-                n_components += 1
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            comp[ra] = rb
-            n_components -= 1
-        if n_components > 1:
+        if not _joins(ends, a, b):
             return False
+        ends.update((a, b))
     return True
-
-
-def _first_appearance_nfa(bit_early: int, bit_late: int) -> list[tuple[int, int, int, int]]:
-    """Three-state recognizer of words where ``late`` strictly precedes ``early``.
-
-    Transitions are (state, mask, value, next): state 0 loops while neither
-    bit is set, moves on when the late bit fires alone, state 1 waits for
-    the early bit, state 2 absorbs.  Accepting state is 2.
-    """
-    me, ml = 1 << bit_early, 1 << bit_late
-    return [
-        (0, me | ml, 0, 0),
-        (0, me | ml, ml, 1),
-        (1, 0, 0, 1),
-        (1, me, me, 2),
-        (2, 0, 0, 2),
-    ]
 
 
 def is_compatible_order(ta: TimedAutomaton, order: Sequence[int]) -> Compatibility:
     """Check an edge-variable order against the automaton's language.
 
-    ``order`` lists canonical bit indices, earliest first.  For each pair,
-    the clock-relaxed automaton (guards dropped) is intersected with the
-    recognizer of the forbidden first-appearance pattern; a reachable
-    accepting product state is a counterexample.  The relaxation
-    over-approximates the timed language, so with clocks present a
-    counterexample only yields ``UNKNOWN``.
+    ``order`` lists canonical bit indices, earliest first.  Each pair is
+    checked on the clock-relaxed automaton (guards dropped): a word in
+    which the later bit first appears strictly before the earlier one and
+    which can still reach an accepting state is a counterexample.  The
+    relaxation over-approximates the timed language, so with clocks
+    present a counterexample only yields ``UNKNOWN``.
     """
     if sorted(order) != list(range(ta.width)):
         raise FormatError(f"order {order!r} is not a permutation of 0..{ta.width - 1}")
@@ -432,30 +401,32 @@ def is_compatible_order(ta: TimedAutomaton, order: Sequence[int]) -> Compatibili
 def _pair_compatibility(ta: TimedAutomaton, early: int, late: int) -> Compatibility:
     """The verdict on the pair of bits ``early`` before ``late``.
 
-    A reachable accepting state of the clock-relaxed automaton times the
-    recognizer of words where ``late`` first appears strictly before
-    ``early`` is a counterexample.
+    Walks ``(state, late seen)`` pairs over the cubes, guards ignored.
+    Until ``late`` is seen a cube must leave ``early`` clear; one that sets
+    ``late`` marks it seen, and one that leaves it free goes both ways.
+    After that, a cube that can set ``early`` into a state outside
+    ``early_reject`` is a counterexample.
     """
-    nfa = _first_appearance_nfa(early, late)
-    start = (ta.initial, 0)
+    me, ml = 1 << early, 1 << late
+    start = (ta.initial, False)
     seen = {start}
     stack = [start]
     while stack:
-        s_ta, s_nfa = stack.pop()
-        for m1, v1, tr in ta._cubes[s_ta]:
-            q = tr.dst
-            for src, m2, v2, r in nfa:
-                # The two cubes share a letter when they agree on
-                # every bit both care about.
-                if src != s_nfa or (v1 ^ v2) & m1 & m2:
-                    continue
-                if q in ta.accepting and r == 2:
-                    if ta.n_clocks:
-                        return Compatibility.UNKNOWN
-                    return Compatibility.INCOMPATIBLE
-                if (q, r) not in seen:
-                    seen.add((q, r))
-                    stack.append((q, r))
+        state, late_seen = stack.pop()
+        for mask, value, tr in ta._cubes[state]:
+            if late_seen:
+                # a cube can set a bit unless it requires the bit clear
+                if (value & me or not mask & me) and tr.dst not in ta.early_reject:
+                    return Compatibility.UNKNOWN if ta.n_clocks else Compatibility.INCOMPATIBLE
+                nexts = (True,)
+            elif value & me:
+                continue
+            else:
+                nexts = (bool(value & ml),) if mask & ml else (False, True)
+            for nxt in nexts:
+                if (tr.dst, nxt) not in seen:
+                    seen.add((tr.dst, nxt))
+                    stack.append((tr.dst, nxt))
     return Compatibility.COMPATIBLE
 
 
@@ -481,7 +452,7 @@ def _search_order(p: Bgp, ta: TimedAutomaton) -> tuple[str, ...] | None:
             return True
         for k in rest:
             a, b = p.rho[p.edge_vars[k]]
-            if order and a not in ends and b not in ends:
+            if not _joins(ends, a, b):
                 continue  # the prefix would fall apart
             later = [r for r in rest if r != k]
             if all(precedes[k][r] for r in later):

@@ -15,12 +15,7 @@ import pytest
 from tempo_bgp import Compatibility, accepts, classify_states, is_compatible_order
 from tempo_bgp.fixtures import TA_WIDTHS, load_ta
 from tempo_bgp.rng import SplitMix64
-from tempo_bgp.timed_automaton import (
-    TimedAutomaton,
-    Transition,
-    _first_appearance_nfa,
-    _pattern_mask_value,
-)
+from tempo_bgp.timed_automaton import TimedAutomaton, Transition, _pattern_mask_value
 from tempo_bgp.workbench import ring_automaton
 
 
@@ -53,10 +48,28 @@ def reference_classify(ta: TimedAutomaton):
     return early_accept, early_reject
 
 
+def first_appearance_nfa(bit_early: int, bit_late: int):
+    """Three-state recognizer of words where ``late`` strictly precedes ``early``.
+
+    Transitions are (state, mask, value, next): state 0 loops while neither
+    bit is set, moves on when the late bit fires alone, state 1 waits for
+    the early bit, state 2 absorbs.  Accepting state is 2.
+    """
+    me, ml = 1 << bit_early, 1 << bit_late
+    return [
+        (0, me | ml, 0, 0),
+        (0, me | ml, ml, 1),
+        (1, 0, 0, 1),
+        (1, me, me, 2),
+        (2, 0, 0, 2),
+    ]
+
+
 def reference_compatible(ta: TimedAutomaton, order) -> Compatibility:
+    # the product of the letter-enumerated automaton and the recognizer
     for i in range(len(order)):
         for j in range(i + 1, len(order)):
-            nfa = _first_appearance_nfa(order[i], order[j])
+            nfa = first_appearance_nfa(order[i], order[j])
             start = (ta.initial, 0)
             seen, stack = {start}, [start]
             while stack:

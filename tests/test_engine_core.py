@@ -149,3 +149,30 @@ def test_engines_agree_with_oracle_on_isolated_node_variables(name):
                             g, p, automaton, early_exit=early_exit, distinct_edges=distinct_edges
                         ).accepted_set
                         assert got == want, (seed, engine.__name__, early_exit, distinct_edges)
+
+
+# "y1 active twice": the second letter holding y1 reaches the accepting sink
+Y1_TWICE = parse_automaton(
+    "states 3\ninitial 0\naccepting 2\n"
+    "trans 0 0* true - 0\ntrans 0 1* true - 1\n"
+    "trans 1 0* true - 1\ntrans 1 1* true - 2\n"
+    "trans 2 ** true - 2\n",
+    2,
+)
+
+
+def test_partial_recounts_a_class_that_gives_up_its_accepted_rows():
+    # At t=3 the total row (e1, e2) and the partial row binding only e1
+    # share a configuration set and a letter; the total one is accepted and
+    # the partial one stays live, so the class is counted again without it.
+    g = build_graph(
+        {n: "n" for n in "abcd"},
+        {"e1": ("a", "b", "l"), "e2": ("b", "c", "l"), "e3": ("c", "d", "l")},
+        {"e1": [1.0, 3.0], "e2": [2.0], "e3": [4.0]},
+    )
+    p = shape_bgp("path2")
+    res = run_partial_match(g, p, Y1_TWICE)
+    assert [(m.edges, m.nodes, t) for m, t in res.accepted] == [(("e1", "e2"), ("a", "b", "c"), 3.0)]
+    assert res.accepted_set == set(oracle_accepted_matchings(g, p, Y1_TWICE))
+    c = res.counters
+    assert (c.rows, c.generated, c.early_rejected, c.warnings) == (23, 8, 0, 0)

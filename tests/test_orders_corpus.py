@@ -25,6 +25,8 @@ from tempo_bgp.rng import SplitMix64
 from tempo_bgp.timed_automaton import _search_order, order_indices
 from tempo_bgp.workbench import random_graph, shape_bgp
 
+from test_automaton_cubes import random_automaton
+
 
 def find_order(p, a):
     for perm in permutations(p.edge_vars):
@@ -71,13 +73,22 @@ def test_search_finds_known_orders(ta):
 
 
 def test_pruned_search_finds_the_permutation_loops_order(ta):
-    # every bundled pattern against every bundled automaton of its width
+    # every bundled pattern against every bundled automaton of its width,
+    # and the benchmark shapes against random automata, which make the
+    # search cut disconnected prefixes and backtrack
+    cases = [
+        (path.stem, load_bgp(path.stem), name, a)
+        for path in sorted(fixture_path("bgp").glob("*.bgp"))
+        for name, a in ta.items()
+    ]
+    shapes = [(s, shape_bgp(s)) for s in ("path2", "cycle2", "star2", "path3", "cycle3", "cycle4")]
+    for seed in range(200):
+        a = random_automaton(seed)
+        cases += [(s, p, f"random{seed}", a) for s, p in shapes]
     checked = set()
-    for path in sorted(fixture_path("bgp").glob("*.bgp")):
-        p = load_bgp(path.stem)
-        for name, a in ta.items():
-            if a.width == p.width:
-                order = find_order(p, a)
-                assert _search_order(p, a) == order, (path.stem, name)
-                checked.add(order is None)
+    for p_name, p, a_name, a in cases:
+        if a.width == p.width:
+            order = find_order(p, a)
+            assert _search_order(p, a) == order, (p_name, a_name)
+            checked.add(order is None)
     assert checked == {True, False}  # both found orders and refusals

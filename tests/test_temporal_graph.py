@@ -96,6 +96,9 @@ def test_load_duplicate_activation_rows_dedup(tmp_path):
     a = _write(tmp_path, "active.csv", "eid,time\nx,2\nx,2\nx,1\n")
     g = load_graph(n, e, a)
     assert g.active["x"] == (1.0, 2.0)
+    # blank rows inside a file are skipped
+    blank = _write(tmp_path, "blank.csv", "eid,time\nx,2\n\n  \nx,2\nx,1\n")
+    assert load_graph(n, e, blank).active["x"] == (1.0, 2.0)
 
 
 def test_load_errors(tmp_path):
@@ -147,6 +150,7 @@ def test_load_rejects(tmp_path, node_text, edge_text):
         ({"x": ("a", "b", "e")}, {"zz": [1.0]}, ReferentialError),  # unknown edge
         ({"x": ("a", "b", "e")}, {"x": [float("inf")]}, FormatError),
         ({"x": ("a", "b", "e")}, {"x": [float("nan")]}, FormatError),
+        ({"x": ("zz", "b", "e")}, {}, ReferentialError),  # edge from an unknown node
     ],
 )
 def test_build_graph_rejects(edges, active, error):
