@@ -6,24 +6,28 @@ Matching is homomorphic: distinct variables may bind the same graph element
 unless ``distinct_edges`` is requested.
 
 Matching is implemented as an edge-growing join backed by the graph's
-endpoint hash indices.  One backtracking step, ``_bind``, binds an edge
-variable for total, delta and partial matching alike, writing the position
-slots of ``Matching`` itself: node slots are the node variables, then one
-slot per constant pre-bound to its name.  ``match_total`` binds the edge
-variables in a connected order grown from the first one, so no variable
-scans the whole graph while a bound one could reach it through an
-endpoint index.  The delta join is anchored: for each
-anchor slot in declaration order it binds that slot to each fitting new
-edge first, then grows outward in a connected order, slots before the
-anchor taking only old edges and slots after it old or new ones, so each
-delta matching is built exactly once, at its first new slot.  ``extend``
-is the one producer of partial matchings; like the total matchers, it
-fills isolated node variables once every edge variable is bound.  Its
-reach gate tests each row once against the endpoints of the new edges,
-so a row that no new edge can extend yields nothing and is neither
-copied nor searched (under an order the test is a table lookup
-and at most one set test); variables with both endpoints unbound draw
-only from the new edges.  The declaration order of the edge variables
+endpoint hash indices.  Every search, total, delta or partial, is
+compiled once per process into a function of nested ``for`` loops, one
+per edge variable in binding order (``_plan_source``; ``plan_source``
+shows ``match_total``'s).  Each level's candidate index, and the label,
+self-loop, pool and distinct-edge tests it needs, are fixed when the
+code is written, and the innermost loop builds the ``Matching``: node
+slots are the node variables, then one slot per constant.
+``match_total`` binds the edge variables in a connected order grown
+from the first one, so no variable scans the whole graph while a bound
+one could reach it through an endpoint index.  The delta join is
+anchored: for each anchor slot in declaration order it binds that slot
+to each fitting new edge first, then grows outward in a connected order,
+slots before the anchor taking only old edges and slots after it old or
+new ones, so each delta matching is built exactly once, at its first new
+slot.  ``extend`` is the one producer of partial matchings; like the
+total matchers, it fills isolated node variables once every edge
+variable is bound.  Its reach gate tests each row once against the
+endpoints of the new edges, so a row that no new edge can extend yields
+nothing and is never searched (under an order the test is a table lookup
+and at most one set test); each row that passes runs the plan of its
+bound variables, and variables with both endpoints unbound draw only
+from the new edges.  The declaration order of the edge variables
 is also the canonical bit order used by letter bitsets everywhere else
 in the package.
 """
@@ -33,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateIdError, FormatError
 from .temporal_graph import TemporalGraph
@@ -174,77 +178,159 @@ _Slot = tuple[int, int, str | None, str | None, str | None]
 _Pool = set[str] | frozenset[str] | dict[str, object]
 
 
-def _slot_table(p: Bgp) -> list[_Slot]:
+def _slot_table(p: Bgp) -> tuple[_Slot, ...]:
     """Per edge variable: its two endpoint node slots, its wanted label and theirs."""
     index = {x: i for i, x in enumerate(p.node_vars + p.constants)}
     table = []
     for y in p.edge_vars:
         a, b = p.rho[y]
         table.append((index[a], index[b], p.labels.get(y), p.labels.get(a), p.labels.get(b)))
-    return table
+    return tuple(table)
 
 
-def _bind(
-    g: TemporalGraph,
-    slot: _Slot,
-    nodes: list[str | None],
-    edges: list[str | None],
-    used: set[str] | None,
-    j: int,
-    pool: _Pool | None,
-    scan: Iterable[str] | None = None,
-) -> Iterator[None]:
-    """Bind edge variable ``j``, whose slot table entry is ``slot``, to each fitting edge in turn.
+# a plan is a pure function of its key, so one cache serves every caller
+_PLANS: dict[tuple, Callable[..., None]] = {}
+_DEPTH = 12  # loops per generated function: Python refuses more than 20 nested blocks
+_HEAD = "g, append, pools, scan, consts, mu"
+_CONTEXT = ("g_edges", "g_nodes", "by_src", "by_dst", "by_pair")
 
-    Yields once per edge of ``pool`` (any edge when ``None``) that is not in
-    ``used`` and fits the variable's label and its endpoints, with
-    ``edges[j]`` and the fresh endpoint slots of ``nodes`` set; they are
-    unset when the generator resumes.  Candidates come from the graph's
-    endpoint indices when an endpoint is bound, else from ``scan``, which
-    must hold only graph edges (every edge, in graph order, when ``None``).
-    ``used`` is ``None`` unless edges must be distinct, and then holds the
-    edges already bound.  This is the only code that binds an edge variable.
+
+def _tuple(items: Iterable[str]) -> str:
+    items = list(items)
+    return f"({', '.join(items)}{',' * (len(items) == 1)})"
+
+
+def _candidates(a: str | None, b: str | None, dyn: set[str], free: str) -> str:
+    """The candidate edges of a variable whose endpoints are held in locals
+    ``a`` and ``b`` (``None``: unbound), each local of ``dyn`` maybe ``None``."""
+    for x in (a, b):
+        if x in dyn:
+            bound = _candidates(a, b, dyn - {x}, free)
+            unbound = _candidates(*(None if y == x else y for y in (a, b)), dyn - {x}, free)
+            return f"({bound} if {x} is not None else {unbound})"
+    if a is not None:
+        return f"by_pair.get(({a}, {b}), ())" if b is not None else f"by_src.get({a}, ())"
+    return f"by_dst.get({b}, ())" if b is not None else free
+
+
+def _plan_source(
+    slots: tuple[_Slot, ...],
+    n: int,
+    order: tuple[int, ...],
+    pooled: tuple[bool, ...],
+    distinct: bool,
+    mode: str,
+    bound: tuple[int, ...],
+) -> str:
+    """Python source of one search, ``_plan0(g, append, pools, scan, consts, mu)``.
+
+    The search binds the edge variables of ``order`` with one nested ``for``
+    per variable, level ``i`` taking edges of ``pools[i]`` when ``pooled[i]``.
+    Each level reads the endpoint index its bound endpoints select, else
+    ``scan`` (only the first level under ``mode`` "total"; later ones read
+    every graph edge), which must hold only edges of the level's pool.
+    Node slots from ``n`` on are ``consts``; under the extension modes the
+    row ``mu`` binds the variables of ``bound`` and their endpoints.  Mode
+    "total" appends each total ``Matching``; "ordered" appends
+    ``(mu, matching)`` after every level; "unordered" lets each level also
+    leave its variable unbound, before binding it, and appends when some
+    level bound.  Past ``_DEPTH`` levels the search chains into a further
+    generated function.
     """
-    sa, sb, want, label_a, label_b = slot
-    va, vb = nodes[sa], nodes[sb]
-    if va is not None:
-        candidates = g.by_pair.get((va, vb), ()) if vb is not None else g.by_src.get(va, ())
-    elif vb is not None:
-        candidates = g.by_dst.get(vb, ())
-    else:
-        candidates = g.edges if scan is None else scan
-    fresh_a = va is None
-    fresh_b = vb is None and sb != sa  # a fresh self-loop binds its node once
-    loop = fresh_a and sa == sb
-    want_a = label_a if fresh_a else None
-    want_b = label_b if fresh_b else None
-    graph_edges, labels = g.edges, g.nodes
-    for eid in candidates:
-        if (pool is not None and eid not in pool) or (used is not None and eid in used):
-            continue
-        e = graph_edges[eid]
-        if (
-            (want is not None and e.label != want)
-            or (loop and e.src != e.dst)
-            or (want_a is not None and labels[e.src] != want_a)
-            or (want_b is not None and labels[e.dst] != want_b)
-        ):
-            continue
-        if fresh_a:
-            nodes[sa] = e.src
-        if fresh_b:
-            nodes[sb] = e.dst
-        edges[j] = eid
-        if used is not None:
-            used.add(eid)
-        yield
-        if used is not None:
-            used.discard(eid)
-        edges[j] = None
-        if fresh_a:
-            nodes[sa] = None
-        if fresh_b:
-            nodes[sb] = None
+    names: dict[int, str] = {}  # node slot -> the local holding its value
+    dyn: set[str] = set()  # the locals that may hold None (unordered)
+    head = []
+    for s in sorted({s for slot in slots for s in slot[:2] if s >= n}):
+        names[s] = f"v{s}"
+        head.append(f"v{s} = consts[{s - n}]")
+    for j in bound:
+        head.append(f"e{j} = mu[0][{j}]")
+        for s in slots[j][:2]:
+            if s not in names:
+                names[s] = f"v{s}"
+                head.append(f"v{s} = mu[1][{s}]")
+    edges = [f"e{j}" if j in bound else "None" for j in range(len(slots))]
+    params: list[str] = []
+    body: list[str] = []
+    funcs = [(params, head, body)]
+    pad = "    "
+
+    def leaf() -> str:
+        m = f"_new(Matching, ({_tuple(edges)}, {_tuple(names.get(s, 'None') for s in range(n))}))"
+        return f"append({m})" if mode == "total" else f"append((mu, {m}))"
+
+    for i, j in enumerate(order):
+        if i and i % _DEPTH == 0:
+            params = [*dict.fromkeys(names.values()), *(e for e in edges if e != "None")]
+            body.append(f"{pad}_plan{len(funcs)}({_HEAD}, {', '.join(params)})")
+            head, body, pad = [], [], "    "
+            funcs.append((params, head, body))
+        sa, sb, want, label_a, label_b = slots[j]
+        a, b = names.get(sa), names.get(sb)
+        free = "scan" if mode != "total" or i == 0 else "g_edges"
+        source = _candidates(a, b, dyn, free)
+        ends = [(sa, "src", label_a)] + ([(sb, "dst", label_b)] if sb != sa else [])
+        fresh = [end for end in ends if names.get(end[0]) is None or names[end[0]] in dyn]
+        tests = [f"e{j} not in pool{i}"] if pooled[i] and source != "scan" else []
+        if tests:
+            head.append(f"pool{i} = pools[{i}]")
+        if distinct:
+            tests += [f"e{j} == {e}" for e in edges if e != "None"]
+        checks = [f"E.label != {want!r}"] if want is not None else []
+        if sa == sb and fresh:
+            checks.append("E.src != E.dst")
+        checks += [f"g_nodes[E.{end}] != {label!r}" for _, end, label in fresh if label is not None]
+        if mode == "unordered":
+            body += [f"{pad}for e{j} in (None, *{source}):", f"{pad}    if e{j} is None:"]
+            body += [f"{pad}        v{s}_{i} = {names.get(s)}" for s, _, _ in fresh]
+            body += [f"{pad}        pass"] * (not fresh) + [f"{pad}    else:"]
+            inner, pad = pad + "        ", pad + "    "
+            names.update((s, f"v{s}_{i}") for s, _, _ in fresh)
+            dyn.update(f"v{s}_{i}" for s, _, _ in fresh)
+        else:
+            body.append(f"{pad}for e{j} in {source}:")
+            inner = pad = pad + "    "
+            names.update((s, f"v{s}") for s, _, _ in fresh)
+        if tests:
+            body.append(f"{inner}if {' or '.join(tests)}:\n{inner}    continue")
+        if fresh or checks:
+            body.append(f"{inner}E = g_edges[e{j}]")
+        if checks:
+            body.append(f"{inner}if {' or '.join(checks)}:\n{inner}    continue")
+        body += [f"{inner}{names[s]} = E.{end}" for s, end, _ in fresh]
+        edges[j] = f"e{j}"
+        if mode == "ordered":
+            body.append(f"{pad}{leaf()}")
+    if mode == "total":
+        body.append(f"{pad}{leaf()}")
+    elif mode == "unordered":
+        any_bound = " or ".join(f"e{j} is not None" for j in order) or "False"
+        body.append(f"{pad}if {any_bound}:\n{pad}    {leaf()}")
+    src = []
+    for c, (params, head, body) in enumerate(funcs):
+        text = "\n".join(body)
+        context = [f"    {x} = g.{x.removeprefix('g_')}" for x in _CONTEXT if x in text]
+        src += [f"def _plan{c}({', '.join([_HEAD, *params])}):", *context]
+        src += [f"    {line}" for line in head] + body
+    return "\n".join(src) + "\n"
+
+
+def _plan(*key) -> Callable[..., None]:
+    """The search of ``_plan_source(*key)``, compiled once per process."""
+    plan = _PLANS.get(key)
+    if plan is None:
+        namespace = {"Matching": Matching, "_new": tuple.__new__}
+        exec(compile(_plan_source(*key), "<plan>", "exec"), namespace)
+        plan = _PLANS[key] = namespace["_plan0"]
+    return plan
+
+
+def plan_source(p: Bgp, order: Sequence[str] | None = None, distinct_edges: bool = False) -> str:
+    """The generated source of ``match_total``'s search, binding in ``order`` when given."""
+    slots = _slot_table(p)
+    n = len(p.node_vars)
+    indices = _anchored_order(slots, n, 0) if order is None else order_indices(p, order)
+    return _plan_source(slots, n, tuple(indices), (False,) * len(slots), distinct_edges, "total", ())
 
 
 def _isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matching]] | None:
@@ -280,43 +366,29 @@ def _isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matchi
 def _total(
     g: TemporalGraph,
     p: Bgp,
-    slots: list[_Slot],
+    slots: tuple[_Slot, ...],
     distinct_edges: bool,
     searches: Iterable[tuple[list[int], list[_Pool | None]]],
     scan: Iterable[str] | None = None,
 ) -> list[Matching]:
     """Sorted total matchings found by ``searches``, isolated node variables filled.
 
-    Each search binds the edge variables in its order, variable ``j``
-    taking edges of its ``pools[j]``, and the first one drawing candidates
-    from ``scan`` when neither of its endpoints is a constant (see
-    ``_bind``).  No two searches may find the same matching.
+    Each search runs one compiled plan (``_plan_source``), binding the edge
+    variables in its order, variable ``j`` taking edges of its ``pools[j]``,
+    and the first one drawing candidates from ``scan`` (every graph edge
+    when ``None``) when neither of its endpoints is a constant.  No two
+    searches may find the same matching.
     """
     for c in p.constants:
         if c not in g.nodes:
             return []
     results: list[Matching] = []
     n = len(p.node_vars)
-    nodes: list[str | None] = [None] * n + list(p.constants)
-    edges: list[str | None] = [None] * len(p.edge_vars)
-    used: set[str] | None = set() if distinct_edges else None
-    last = len(slots) - 1
-
-    def grow(i: int) -> None:
-        j = order[i]
-        bound = _bind(g, slots[j], nodes, edges, used, j, pools[j], None if i else scan)
-        if i < last:
-            for _ in bound:
-                grow(i + 1)
-        else:  # the leaves, emitted here rather than one call deeper each
-            for _ in bound:
-                results.append(Matching(tuple(edges), tuple(nodes[:n])))
-
-    if last < 0:
-        results.append(Matching((), tuple(nodes[:n])))
-    else:
-        for order, pools in searches:
-            grow(0)
+    for order, pools in searches:
+        pooled = tuple(pools[j] is not None for j in order)
+        plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", ())
+        plan(g, results.append, [pools[j] for j in order],
+             g.edges if scan is None else scan, p.constants, None)
     fill = _isolated_fill(g, p)
     if fill is not None:
         results = [f for m in results for f in fill(m)]
@@ -332,19 +404,20 @@ def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False) -> li
     bindings, so results are reproducible.
     """
     slots = _slot_table(p)
-    k = len(slots)
-    order = _anchored_order(slots, len(p.node_vars), 0) if k else []
-    return _total(g, p, slots, distinct_edges, [(order, [None] * k)])
+    order = _anchored_order(slots, len(p.node_vars), 0)
+    return _total(g, p, slots, distinct_edges, [(order, [None] * len(slots))])
 
 
-def _anchored_order(slots: list[_Slot], n: int, anchor: int) -> list[int]:
-    """The edge variables in binding order from ``anchor`` outward.
+def _anchored_order(slots: tuple[_Slot, ...], n: int, anchor: int) -> list[int]:
+    """The edge variables in binding order from ``anchor`` outward (none without slots).
 
     Each next variable is the first, in declaration order, that shares an
     endpoint with a variable already placed or with a constant (node slots
     from ``n`` on); when none does (a disconnected pattern), the first one
     not yet placed.
     """
+    if not slots:
+        return []
     order = [anchor]
     rest = [*range(anchor), *range(anchor + 1, len(slots))]
     reached = set(slots[anchor][:2])
@@ -409,7 +482,7 @@ def _reachable(slot: _Slot, nodes: Sequence[str | None], srcs: set[str], dsts: s
 
 
 def _order_gate(
-    p: Bgp, slots: list[_Slot], slot_order: list[int], srcs: set[str], dsts: set[str]
+    p: Bgp, slots: tuple[_Slot, ...], slot_order: list[int], srcs: set[str], dsts: set[str]
 ) -> list[tuple[int, set[str]] | bool]:
     """Per prefix length ``k``, whether a row binding ``slot_order[:k]`` can be extended.
 
@@ -456,15 +529,19 @@ def extend(
     order are generated; ``order`` must be a permutation of the edge
     variables.
 
-    A reach gate skips, before the row is copied and searched, each row
-    that no new edge can extend.  The first variable an extension binds
-    (the lowest-numbered one, or under an order the order's next one)
-    sees only the row's own bindings, so a new edge must leave the row's
-    node bound to its source, else enter the one bound to its target,
-    unless both are unbound.  ``_order_gate`` tabulates this test by
-    prefix length; without an order, the row is tried when some unbound
-    variable passes it.  Variables with both endpoints unbound draw from
-    the new edges alone, in graph order.
+    A reach gate skips, before the row is searched, each row that no new
+    edge can extend.  The first variable an extension binds (the
+    lowest-numbered one, or under an order the order's next one) sees
+    only the row's own bindings, so a new edge must leave the row's node
+    bound to its source, else enter the one bound to its target, unless
+    both are unbound.  ``_order_gate`` tabulates this test by prefix
+    length; without an order, the row is tried when some unbound variable
+    passes it.  A row that passes runs the compiled plan of its bound
+    variables (one per prefix length under an order, per set of unbound
+    variables without one): under an order it emits after each level;
+    without one, each unbound variable is first left unbound, then bound
+    to each fitting edge, in declaration order.  Variables with both
+    endpoints unbound draw from the new edges alone, in graph order.
     """
     new = set(new_edges)
     scan = [e for e in g.edges if e in new]  # the new edges the graph knows
@@ -478,13 +555,17 @@ def extend(
         slot_order = order_indices(p, order)
         gate = _order_gate(p, slots, slot_order, srcs, dsts)
     fill = _isolated_fill(g, p)
+    pools, consts = [new] * width, p.constants
+    plans: dict[object, Callable[..., None]] = {}
     pairs: list[tuple[Matching, Matching]] = []
+    append = pairs.append
     for mu in states_matchings:
         if gate is None:
             todo = [j for j, e in enumerate(mu.edges) if e is None]
-            values = mu.nodes + p.constants
+            values = mu.nodes + consts
             if not any(_reachable(slots[j], values, srcs, dsts) for j in todo):
                 continue
+            key: object = tuple(todo)
         else:
             k = width - mu.edges.count(None)  # the prefix length, if mu binds a prefix
             reach = gate[k]
@@ -493,26 +574,16 @@ def extend(
             todo = slot_order[k:]
             if any(mu.edges[j] is not None for j in todo):
                 continue  # mu itself is not a prefix; nothing to generate
-        edges = list(mu.edges)
-        nodes = [*mu.nodes, *p.constants]
-        used = {e for e in edges if e is not None} if distinct_edges else None
-
-        def grow(i: int, bound_any: bool) -> None:
-            # under an order, leaving todo[i] unbound leaves every later
-            # variable unbound too, so the extension ends here
-            if bound_any and (i == len(todo) or slot_order is not None):
-                m = Matching(tuple(edges), tuple(nodes[:n]))
-                if fill is None:
-                    pairs.append((mu, m))
-                else:
-                    pairs.extend((mu, f) for f in fill(m))
-            if i == len(todo):
-                return
-            if slot_order is None:
-                grow(i + 1, bound_any)
-            j = todo[i]
-            for _ in _bind(g, slots[j], nodes, edges, used, j, new, scan):
-                grow(i + 1, True)
-
-        grow(0, False)
+            key = k
+        plan = plans.get(key)
+        if plan is None:
+            bound = tuple(j for j in range(width) if j not in todo)
+            mode = "unordered" if gate is None else "ordered"
+            plan = plans[key] = _plan(
+                slots, n, tuple(todo), (True,) * len(todo), distinct_edges, mode, bound
+            )
+        start = len(pairs)
+        plan(g, append, pools, scan, consts, mu)
+        if fill is not None and len(pairs) > start:
+            pairs[start:] = [(mu, f) for _, m in pairs[start:] for f in fill(m)]
     return pairs

@@ -3,6 +3,7 @@ constants, labels and distinct edges, against the brute-force oracle."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import tempo_bgp
 import tempo_bgp.bgp as bgp_module
 import tempo_bgp.engine as engine_module
 from tempo_bgp import (
+    FormatError,
     Matching,
     build_graph,
     delta_match,
@@ -26,6 +28,7 @@ from tempo_bgp import (
     parse_bgp,
     run_partial_match,
 )
+from tempo_bgp.bgp import plan_source
 from tempo_bgp.fixtures import load_ta
 from tempo_bgp.oracle import oracle_enumerate_partials
 from tempo_bgp.rng import SplitMix64
@@ -112,28 +115,136 @@ def test_match_total_agrees_with_oracle(name, distinct):
         ), seed
 
 
-def test_match_total_work_does_not_follow_declaration_order(monkeypatch):
-    # the same path declared connected and out of order costs the same
-    # number of bind steps: the search grows from y1 through shared endpoints
+def _loop_sources(src):
+    """The candidates of each level of a generated search, outermost first."""
+    return [line.split(" in ", 1)[1] for line in src.splitlines() if line.lstrip().startswith("for ")]
+
+
+class _Probes(dict):
+    """An endpoint index that counts its lookups."""
+
+    calls = 0
+
+    def get(self, key, default=None):
+        _Probes.calls += 1
+        return super().get(key, default)
+
+
+def test_match_total_work_does_not_follow_declaration_order():
+    # the same path declared connected and out of order compiles to plans
+    # whose only full scan is the first level, and both probe the endpoint
+    # indices equally often: the search grows from y1 through shared endpoints
     g = generate_graph(GenSpec(12, 0.5, 0.5, 5, seed=1))
+    counted = dataclasses.replace(
+        g, **{name: _Probes(getattr(g, name)) for name in ("by_src", "by_dst", "by_pair")}
+    )
     connected = parse_bgp(
         "node x1\nnode x2\nnode x3\nnode x4\n"
         "edge y1 : x1 -> x2\nedge y2 : x2 -> x3\nedge y3 : x3 -> x4\n"
     )
-    calls = [0]
-    bind = bgp_module._bind
-
-    def counting_bind(*args):
-        calls[0] += 1
-        return bind(*args)
-
-    monkeypatch.setattr(bgp_module, "_bind", counting_bind)
     work = []
     for p in (connected, parse_bgp(PATTERNS["path3_disconnected_declared"])):
-        calls[0] = 0
-        assert len(match_total(g, p)) > 100
-        work.append(calls[0])
-    assert work[0] == work[1]
+        sources = _loop_sources(plan_source(p))
+        assert sources[0] == "scan:" and all(s.startswith("by_") for s in sources[1:]), sources
+        _Probes.calls = 0
+        assert len(match_total(counted, p)) > 100
+        work.append(_Probes.calls)
+    assert work[0] == work[1] > 100
+
+
+def test_plan_source_names_each_level_candidates():
+    p = shape_bgp("cycle4")
+    src = plan_source(p)
+    compile(src, "<plan>", "exec")
+    assert _loop_sources(src) == [
+        "scan:", "by_src.get(v1, ()):", "by_src.get(v2, ()):", "by_pair.get((v3, v0), ()):"
+    ]
+    src = plan_source(p, order=("y2", "y1", "y3", "y4"), distinct_edges=True)
+    compile(src, "<plan>", "exec")
+    assert _loop_sources(src) == [
+        "scan:", "by_dst.get(v1, ()):", "by_src.get(v2, ()):", "by_pair.get((v3, v0), ()):"
+    ]
+    assert "if e3 == e0 or e3 == e1 or e3 == e2:" in src
+    # disconnected, a later level reads every graph edge
+    assert _loop_sources(plan_source(p, order=("y1", "y3", "y2", "y4")))[1] == "g_edges:"
+    with pytest.raises(FormatError):
+        plan_source(p, order=("y1", "y2"))
+
+
+def _line_graph(n_nodes):
+    """A directed line ``v0 -> v1 -> ...``, edge ``e{i}`` active at ``i + 1``."""
+    return build_graph(
+        {f"v{i}": "n" for i in range(n_nodes)},
+        {f"e{i}": (f"v{i}", f"v{i + 1}", "e") for i in range(n_nodes - 1)},
+        {f"e{i}": [float(i + 1)] for i in range(n_nodes - 1)},
+    )
+
+
+def test_deep_patterns_chain_generated_functions():
+    # Python refuses more than 20 nested blocks in one function, so a
+    # width-24 search cannot be one nest of loops
+    width = 24
+    p = parse_bgp(
+        "".join(f"node x{i}\n" for i in range(width + 1))
+        + "".join(f"edge y{i} : x{i - 1} -> x{i}\n" for i in range(1, width + 1))
+    )
+    g = _line_graph(30)
+    totals = match_total(g, p)
+    assert [m.edges[0] for m in totals] == [f"e{i}" for i in range(6)]
+    assert delta_match(g, p, [], g.edges) == totals
+    old = {f"e{i}" for i in range(0, 29, 2)}
+    new = set(g.edges) - old
+    assert delta_match(g, p, old, new) == totals
+    empty = empty_matching(p)
+    for order in (p.edge_vars, p.edge_vars[::-1]):
+        pairs = extend(g, p, [empty], g.edges, order=order)
+        assert sorted(m for _, m in pairs if m.is_total()) == totals
+        assert len(pairs) == len({m for _, m in pairs})
+    # unordered: a row binding every third variable from y2 leaves 16, each
+    # with a bound endpoint, so the extensions are the 2**16 - 1 nonempty
+    # subsets of the total matching's other bindings
+    m = totals[0]
+    kept = set(range(1, width, 3))
+    edges = tuple(e if j in kept else None for j, e in enumerate(m.edges))
+    ends = {i for j in kept for i in (j, j + 1)}
+    row = Matching(edges, tuple(v if i in ends else None for i, v in enumerate(m.nodes)))
+    grown = [x for _, x in extend(g, p, [row], set(m.edges) - set(edges))]
+    assert len(set(grown)) == len(grown) == 2**16 - 1
+    assert [x for x in grown if x.is_total()] == [m]
+    assert all(x.contains(row) and m.contains(x) for x in grown)
+
+
+# one shape, told apart only by labels and constants: each must run its own plan
+_ONE_SHAPE = [
+    "node x1\nnode x2\nnode x3\nedge y1 : x1 -> x2\nedge y2 : x2 -> x3\n",
+    "node x1\nnode x2\nnode x3\nedge y1 : x1 -> x2 : e\nedge y2 : x2 -> x3\n",
+    "node x1\nnode x2\nnode x3\nedge y1 : x1 -> x2 : s\nedge y2 : x2 -> x3\n",
+    "node x1\nnode x2 : n\nnode x3\nedge y1 : x1 -> x2\nedge y2 : x2 -> x3\n",
+    "node x1\nnode x2 : m\nnode x3\nedge y1 : x1 -> x2\nedge y2 : x2 -> x3\n",
+    "const v0\nnode x2\nnode x3\nedge y1 : v0 -> x2\nedge y2 : x2 -> x3\n",
+    "const v1\nnode x2\nnode x3\nedge y1 : v1 -> x2\nedge y2 : x2 -> x3\n",
+    "const v1\nnode x2\nnode x3 : n\nedge y1 : v1 -> x2\nedge y2 : x2 -> x3 : s\n",
+]
+
+
+def test_plans_of_one_shape_stay_apart():
+    patterns = [parse_bgp(text) for text in _ONE_SHAPE]
+    for seed in SEEDS:
+        g = looped_graph(seed)
+        for distinct in (False, True):
+            for p in patterns:
+                totals = oracle_match(g, p, distinct_edges=distinct)
+                assert match_total(g, p, distinct_edges=distinct) == totals, (seed, p)
+                assert delta_match(g, p, [], g.edges, distinct_edges=distinct) == totals
+                empty = empty_matching(p)
+                want = set(_every_matching(g, p, g.edges, distinct)) - {empty}
+                for order in [None, *permutations(p.edge_vars)]:
+                    pairs = extend(g, p, [empty], g.edges, order=order, distinct_edges=distinct)
+                    got = [m for _, m in pairs]
+                    assert len(got) == len(set(got)), (seed, p, order)
+                    assert set(got) == {
+                        m for m in want if order is None or _binds_prefix(p, order, m)
+                    }, (seed, p, order, distinct)
 
 
 @pytest.mark.parametrize("distinct", [False, True])
@@ -280,26 +391,31 @@ def test_extend_offers_the_new_edges_to_every_row(name, distinct):
 def test_extend_skips_the_rows_no_new_edge_reaches(order, share, monkeypatch):
     # on a sparse, long stream most snapshots bring one edge that extends
     # few of the table's rows; the reach gate offers it only to those, so
-    # _bind runs for a small share of the rows offered to extend (without
-    # the gate: over one call per row ordered, about 1.4 unordered)
+    # a search plan runs for a small share of the rows offered to extend
+    # (without the gate: once per row)
     g = generate_graph(GenSpec(20, 0.3, 0.01, 200, seed=1))
     p, ta = shape_bgp("path3"), load_ta("ta4")
-    bind, extend_rows, counts = bgp_module._bind, engine_module.extend, {"bind": 0, "rows": 0}
+    plan, extend_rows, counts = bgp_module._plan, engine_module.extend, {"plan": 0, "rows": 0}
 
-    def counting_bind(*args):
-        counts["bind"] += 1
-        return bind(*args)
+    def counting_plan(*key):
+        search = plan(*key)
+
+        def counted(*args):
+            counts["plan"] += 1
+            return search(*args)
+
+        return counted
 
     def counting_extend(g, p, rows, *args, **kwargs):
         counts["rows"] += len(rows)
         return extend_rows(g, p, rows, *args, **kwargs)
 
-    monkeypatch.setattr(bgp_module, "_bind", counting_bind)
+    monkeypatch.setattr(bgp_module, "_plan", counting_plan)
     monkeypatch.setattr(engine_module, "extend", counting_extend)
     res = run_partial_match(g, p, ta, order=order)
     assert res.counters.generated > 500
     assert counts["rows"] > 5000
-    assert counts["bind"] <= counts["rows"] * share, counts
+    assert 0 < counts["plan"] <= counts["rows"] * share, counts
 
 
 def test_graphs_have_self_loop_matchings():
@@ -309,21 +425,21 @@ def test_graphs_have_self_loop_matchings():
 
 _CORPUS = """
 import hashlib
-from itertools import permutations
+from itertools import permutations, product
 from tempo_bgp import delta_match, empty_matching, extend, history_upto, parse_bgp
 from tempo_bgp import run_baseline, run_on_demand, run_partial_match
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.workbench import SHAPE_NAMES, random_graph, ring_automaton, shape_text
 
-texts = [shape_text(name) for name in SHAPE_NAMES] + [%r, %r]
+texts = [shape_text(name) for name in SHAPE_NAMES] + [%r, %r, %r, %r]
 outs = []
-for seed in range(8):
+for seed, distinct in product(range(8), (False, True)):
     g = random_graph(SplitMix64(seed), max_nodes=6, max_edges=12)
     for text in texts:
         p = parse_bgp(text)
         ta = ring_automaton(p.width)
         for engine in (run_baseline, run_on_demand, run_partial_match):
-            res = engine(g, p, ta)
+            res = engine(g, p, ta, distinct_edges=distinct)
             c = res.counters
             outs.append(repr((res.accepted, c.rows, c.generated, c.early_rejected, c.warnings)))
         for order in [None, *permutations(p.edge_vars)]:
@@ -332,13 +448,13 @@ for seed in range(8):
             for i in range(1, len(g.domain) + 1):
                 new = history_upto(g, i) - hist
                 if order is None:
-                    outs.append(repr(delta_match(g, p, hist, new)))
+                    outs.append(repr(delta_match(g, p, hist, new, distinct_edges=distinct)))
                 hist = history_upto(g, i)
-                pairs = extend(g, p, table, new, order=order)
+                pairs = extend(g, p, table, new, order=order, distinct_edges=distinct)
                 outs.append(repr(pairs))
                 table = table + [m for _, m in pairs]
 print(len(outs), hashlib.sha256("\\n".join(outs).encode()).hexdigest())
-""" % (PATTERNS["disconnected"], PATTERNS["branch"])
+""" % tuple(PATTERNS[name] for name in ("disconnected", "branch", "labels", "constant_self_loop"))
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():
