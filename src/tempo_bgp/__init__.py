@@ -42,7 +42,6 @@ from .temporal_graph import (
     history_upto,
     load_graph,
     load_graph_dir,
-    snapshot,
 )
 from .timed_automaton import (
     Compatibility,

@@ -12,7 +12,10 @@ per edge variable in binding order (``_plan_source``; ``plan_source``
 shows ``match_total``'s).  Each level's candidate index, and the label,
 self-loop, pool and distinct-edge tests it needs, are fixed when the
 code is written, and the innermost loop builds the ``Matching``: node
-slots are the node variables, then one slot per constant.
+slots are the node variables, then one slot per constant.  Once every
+edge variable is bound, it appends one matching per fill, an assignment
+of the isolated node variables handed to the plan at run time.  The
+matchers return matchings in search order, the same for every hash seed.
 ``match_total`` binds the edge variables in a connected order grown
 from the first one, so no variable scans the whole graph while a bound
 one could reach it through an endpoint index.  The delta join is
@@ -20,16 +23,14 @@ anchored: for each anchor slot in declaration order it binds that slot
 to each fitting new edge first, then grows outward in a connected order,
 slots before the anchor taking only old edges and slots after it old or
 new ones, so each delta matching is built exactly once, at its first new
-slot.  ``extend`` is the one producer of partial matchings; like the
-total matchers, it fills isolated node variables once every edge
-variable is bound.  Its reach gate tests each row once against the
-endpoints of the new edges, so a row that no new edge can extend yields
-nothing and is never searched (under an order the test is a table lookup
-and at most one set test); each row that passes runs the plan of its
-bound variables, and variables with both endpoints unbound draw only
-from the new edges.  The declaration order of the edge variables
-is also the canonical bit order used by letter bitsets everywhere else
-in the package.
+slot.  ``extend`` is the one producer of partial matchings.  Its reach
+gate tests each row once against the endpoints of the new edges, so a
+row that no new edge can extend yields nothing and is never searched
+(under an order the test is a table lookup and at most one set test);
+each row that passes runs the plan of its bound variables, and variables
+with both endpoints unbound draw only from the new edges.  The
+declaration order of the edge variables is also the canonical bit order
+used by letter bitsets everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DuplicateIdError, FormatError
+from .errors import DuplicateIdError, FormatError, ReferentialError
 from .temporal_graph import TemporalGraph
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -191,7 +192,7 @@ def _slot_table(p: Bgp) -> tuple[_Slot, ...]:
 # a plan is a pure function of its key, so one cache serves every caller
 _PLANS: dict[tuple, Callable[..., None]] = {}
 _DEPTH = 12  # loops per generated function: Python refuses more than 20 nested blocks
-_HEAD = "g, append, pools, scan, consts, mu"
+_HEAD = "g, append, pools, scan, consts, mu, fills"
 _CONTEXT = ("g_edges", "g_nodes", "by_src", "by_dst", "by_pair")
 
 
@@ -222,7 +223,7 @@ def _plan_source(
     mode: str,
     bound: tuple[int, ...],
 ) -> str:
-    """Python source of one search, ``_plan0(g, append, pools, scan, consts, mu)``.
+    """Python source of one search, ``_plan0(g, append, pools, scan, consts, mu, fills)``.
 
     The search binds the edge variables of ``order`` with one nested ``for``
     per variable, level ``i`` taking edges of ``pools[i]`` when ``pooled[i]``.
@@ -234,8 +235,9 @@ def _plan_source(
     "total" appends each total ``Matching``; "ordered" appends
     ``(mu, matching)`` after every level; "unordered" lets each level also
     leave its variable unbound, before binding it, and appends when some
-    level bound.  Past ``_DEPTH`` levels the search chains into a further
-    generated function.
+    level bound.  A matching binding every edge variable is appended once
+    per fill, a tuple of ``fills`` holding the isolated node slots in order.
+    Past ``_DEPTH`` levels the search chains into a further function.
     """
     names: dict[int, str] = {}  # node slot -> the local holding its value
     dyn: set[str] = set()  # the locals that may hold None (unordered)
@@ -250,14 +252,19 @@ def _plan_source(
                 names[s] = f"v{s}"
                 head.append(f"v{s} = mu[1][{s}]")
     edges = [f"e{j}" if j in bound else "None" for j in range(len(slots))]
+    isolated = sorted(set(range(n)).difference(s for slot in slots for s in slot[:2]))
     params: list[str] = []
     body: list[str] = []
     funcs = [(params, head, body)]
     pad = "    "
 
-    def leaf() -> str:
-        m = f"_new(Matching, ({_tuple(edges)}, {_tuple(names.get(s, 'None') for s in range(n))}))"
-        return f"append({m})" if mode == "total" else f"append((mu, {m}))"
+    def leaf(pad: str, total: bool) -> str:
+        fill = total and bool(isolated)
+        nodes = (f"w{s}" if fill and s in isolated else names.get(s, "None") for s in range(n))
+        m = f"_new(Matching, ({_tuple(edges)}, {_tuple(nodes)}))"
+        line = f"append({m})" if mode == "total" else f"append((mu, {m}))"
+        loop = f"for {_tuple(f'w{s}' for s in isolated)} in fills:\n{pad}    " if fill else ""
+        return f"{pad}{loop}{line}"
 
     for i, j in enumerate(order):
         if i and i % _DEPTH == 0:
@@ -300,12 +307,15 @@ def _plan_source(
         body += [f"{inner}{names[s]} = E.{end}" for s, end, _ in fresh]
         edges[j] = f"e{j}"
         if mode == "ordered":
-            body.append(f"{pad}{leaf()}")
+            body.append(leaf(pad, i == len(order) - 1))
     if mode == "total":
-        body.append(f"{pad}{leaf()}")
+        body.append(leaf(pad, True))
     elif mode == "unordered":
-        any_bound = " or ".join(f"e{j} is not None" for j in order) or "False"
-        body.append(f"{pad}if {any_bound}:\n{pad}    {leaf()}")
+        # a total matching takes the fills, any other one at least one binding
+        branches = [(" and ", True)] * bool(isolated) + [(" or ", False)]
+        for kw, (op, total) in zip(("if", "elif"), branches):
+            test = op.join(f"e{j} is not None" for j in order) or "False"
+            body.append(f"{pad}{kw} {test}:\n{leaf(pad + '    ', total)}")
     src = []
     for c, (params, head, body) in enumerate(funcs):
         text = "\n".join(body)
@@ -333,34 +343,21 @@ def plan_source(p: Bgp, order: Sequence[str] | None = None, distinct_edges: bool
     return _plan_source(slots, n, tuple(indices), (False,) * len(slots), distinct_edges, "total", ())
 
 
-def _isolated_fill(g: TemporalGraph, p: Bgp) -> Callable[[Matching], list[Matching]] | None:
-    """The fill of isolated node variables, ``None`` when the pattern has none.
-
-    Isolated node variables (no incident edge variable) range over every
-    label-compatible node, and no edge variable reads them.  The fill maps a
-    matching binding every edge variable to one matching per assignment of
-    them; any other matching maps to itself alone.
-    """
-    slots = p.isolated
-    if not slots:
-        return None
-    assignments = list(product(*(
+def _fills(g: TemporalGraph, p: Bgp) -> list[tuple[str, ...]]:
+    """Every assignment of the isolated node variables (``Bgp.isolated``),
+    which no edge variable reads, to label-compatible nodes, in graph order."""
+    return list(product(*(
         [v for v, label in g.nodes.items() if p.labels.get(p.node_vars[i]) in (None, label)]
-        for i in slots
+        for i in p.isolated
     )))
 
-    def fill(m: Matching) -> list[Matching]:
-        if None in m.edges:
-            return [m]
-        nodes = list(m.nodes)
-        out = []
-        for values in assignments:
-            for i, v in zip(slots, values):
-                nodes[i] = v
-            out.append(Matching(m.edges, tuple(nodes)))
-        return out
 
-    return fill
+def _graph_order(g: TemporalGraph, new: set[str]) -> list[str]:
+    """The edges of ``new`` in graph order (``ReferentialError`` for one the graph lacks)."""
+    scan = [e for e in g.edges if e in new]
+    if len(scan) < len(new):
+        raise ReferentialError(f"unknown edge {min(new.difference(g.edges))!r}")
+    return scan
 
 
 def _total(
@@ -371,7 +368,7 @@ def _total(
     searches: Iterable[tuple[list[int], list[_Pool | None]]],
     scan: Iterable[str] | None = None,
 ) -> list[Matching]:
-    """Sorted total matchings found by ``searches``, isolated node variables filled.
+    """Total matchings found by ``searches`` in search order, isolated node variables filled.
 
     Each search runs one compiled plan (``_plan_source``), binding the edge
     variables in its order, variable ``j`` taking edges of its ``pools[j]``,
@@ -383,25 +380,20 @@ def _total(
         if c not in g.nodes:
             return []
     results: list[Matching] = []
-    n = len(p.node_vars)
+    n, fills = len(p.node_vars), _fills(g, p)
     for order, pools in searches:
         pooled = tuple(pools[j] is not None for j in order)
         plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", ())
         plan(g, results.append, [pools[j] for j in order],
-             g.edges if scan is None else scan, p.constants, None)
-    fill = _isolated_fill(g, p)
-    if fill is not None:
-        results = [f for m in results for f in fill(m)]
-    # a Matching is the tuple (edges, nodes), so it sorts as it is
-    results.sort()
+             g.edges if scan is None else scan, p.constants, None, fills)
     return results
 
 
 def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False) -> list[Matching]:
     """All total matchings of ``p`` in ``g``, ignoring time.
 
-    Output is sorted by bound edge ids in declaration order, then by node
-    bindings, so results are reproducible.
+    Output comes in search order, the same for every hash seed: the first
+    variable of the binding order scans the graph's edges in graph order.
     """
     slots = _slot_table(p)
     order = _anchored_order(slots, len(p.node_vars), 0)
@@ -450,10 +442,13 @@ def delta_match(
     first and the join grows outward from it, variables declared before
     the anchor taking only old edges and those after it old or new ones.
     Each matching is thus found once, at its first variable bound to a new
-    edge.  ``old_history`` is read in place when it is a set or a dict.
+    edge; output comes in search order, anchor by anchor, each reading the
+    new edges in graph order.  ``old_history`` is read in place when it is
+    a set or a dict; an unknown new edge raises ``ReferentialError``.
     """
     old = old_history if isinstance(old_history, (set, frozenset, dict)) else set(old_history)
     new = set(new_edges)
+    scan = _graph_order(g, new)
     if any(e in old for e in new):
         raise FormatError("new_edges must be disjoint from old_history")
     if not new or not p.edge_vars:
@@ -465,7 +460,7 @@ def delta_match(
         (_anchored_order(slots, n, a), [old] * a + [new] + [union] * (last - a))
         for a in range(last + 1)
     ]
-    return _total(g, p, slots, distinct_edges, searches, [e for e in new if e in g.edges])
+    return _total(g, p, slots, distinct_edges, searches, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +518,11 @@ def extend(
     bindings all use edges first seen in the current snapshot (older edges
     were already offered to the matching's ancestors, so re-binding them
     would replay history with the wrong letter prefix); the pairs come in
-    the order of their sources.  An extension binding every edge variable
-    yields one pair per fill of the isolated node variables.  With
-    ``order``, only extensions whose bound variables form a prefix of the
-    order are generated; ``order`` must be a permutation of the edge
+    the order of their sources, each source's in search order.  An
+    extension binding every edge variable yields one pair per fill of the
+    isolated node variables; an unknown new edge raises ``ReferentialError``.
+    With ``order``, only extensions whose bound variables form a prefix of
+    the order are generated; ``order`` must be a permutation of the edge
     variables.
 
     A reach gate skips, before the row is searched, each row that no new
@@ -544,7 +540,7 @@ def extend(
     endpoints unbound draw from the new edges alone, in graph order.
     """
     new = set(new_edges)
-    scan = [e for e in g.edges if e in new]  # the new edges the graph knows
+    scan = _graph_order(g, new)
     srcs = {g.edges[e].src for e in scan}
     dsts = {g.edges[e].dst for e in scan}
     slots = _slot_table(p)
@@ -554,8 +550,7 @@ def extend(
     else:
         slot_order = order_indices(p, order)
         gate = _order_gate(p, slots, slot_order, srcs, dsts)
-    fill = _isolated_fill(g, p)
-    pools, consts = [new] * width, p.constants
+    pools, consts, fills = [new] * width, p.constants, _fills(g, p)
     plans: dict[object, Callable[..., None]] = {}
     pairs: list[tuple[Matching, Matching]] = []
     append = pairs.append
@@ -582,8 +577,5 @@ def extend(
             plan = plans[key] = _plan(
                 slots, n, tuple(todo), (True,) * len(todo), distinct_edges, mode, bound
             )
-        start = len(pairs)
-        plan(g, append, pools, scan, consts, mu)
-        if fill is not None and len(pairs) > start:
-            pairs[start:] = [(mu, f) for _, m in pairs[start:] for f in fill(m)]
+        plan(g, append, pools, scan, consts, mu, fills)
     return pairs

@@ -192,11 +192,6 @@ def load_graph_dir(directory) -> TemporalGraph:
     return load_graph(d / "node.csv", d / "edge.csv", d / "active.csv")
 
 
-def snapshot(g: TemporalGraph, t: float) -> frozenset[str]:
-    """Edges active at time ``t`` (empty for timepoints outside the domain)."""
-    return g.snapshots.get(t, frozenset())
-
-
 def history_upto(g: TemporalGraph, t_index: int) -> frozenset[str]:
     """Union of the first ``t_index`` snapshots; index 0 is the empty graph.
 

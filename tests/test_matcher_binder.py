@@ -110,8 +110,8 @@ def test_match_total_agrees_with_oracle(name, distinct):
     p = parse_bgp(PATTERNS[name])
     for seed in SEEDS:
         g = looped_graph(seed)
-        assert match_total(g, p, distinct_edges=distinct) == oracle_match(
-            g, p, distinct_edges=distinct
+        assert sorted(match_total(g, p, distinct_edges=distinct)) == sorted(
+            oracle_match(g, p, distinct_edges=distinct)
         ), seed
 
 
@@ -189,12 +189,12 @@ def test_deep_patterns_chain_generated_functions():
         + "".join(f"edge y{i} : x{i - 1} -> x{i}\n" for i in range(1, width + 1))
     )
     g = _line_graph(30)
-    totals = match_total(g, p)
-    assert [m.edges[0] for m in totals] == [f"e{i}" for i in range(6)]
-    assert delta_match(g, p, [], g.edges) == totals
+    totals = sorted(match_total(g, p))
+    assert [m.edges[0] for m in totals] == sorted(f"e{i}" for i in range(6))
+    assert sorted(delta_match(g, p, [], g.edges)) == totals
     old = {f"e{i}" for i in range(0, 29, 2)}
     new = set(g.edges) - old
-    assert delta_match(g, p, old, new) == totals
+    assert sorted(delta_match(g, p, old, new)) == totals
     empty = empty_matching(p)
     for order in (p.edge_vars, p.edge_vars[::-1]):
         pairs = extend(g, p, [empty], g.edges, order=order)
@@ -233,9 +233,9 @@ def test_plans_of_one_shape_stay_apart():
         g = looped_graph(seed)
         for distinct in (False, True):
             for p in patterns:
-                totals = oracle_match(g, p, distinct_edges=distinct)
-                assert match_total(g, p, distinct_edges=distinct) == totals, (seed, p)
-                assert delta_match(g, p, [], g.edges, distinct_edges=distinct) == totals
+                totals = sorted(oracle_match(g, p, distinct_edges=distinct))
+                assert sorted(match_total(g, p, distinct_edges=distinct)) == totals, (seed, p)
+                assert sorted(delta_match(g, p, [], g.edges, distinct_edges=distinct)) == totals
                 empty = empty_matching(p)
                 want = set(_every_matching(g, p, g.edges, distinct)) - {empty}
                 for order in [None, *permutations(p.edge_vars)]:
@@ -259,14 +259,14 @@ def test_delta_match_telescopes_to_match_total(name, distinct):
         for i in range(1, len(g.domain) + 1):
             new = history_upto(g, i) - hist
             batch = delta_match(g, p, hist, new, distinct_edges=distinct)
-            assert batch == sorted(batch, key=lambda m: (m.edges, m.nodes)), seed
+            assert len(set(batch)) == len(batch), seed  # each matching once
             assert delta_match(g, p, first, new, distinct_edges=distinct) == batch, seed
             first.update(dict.fromkeys(new, i))
             assert all(any(e in new for e in m.edges) for m in batch), seed
             acc.extend(batch)
             hist = history_upto(g, i)
-            assert sorted(acc, key=lambda m: (m.edges, m.nodes)) == match_total(
-                restricted(g, hist), p, distinct_edges=distinct
+            assert sorted(acc) == sorted(
+                match_total(restricted(g, hist), p, distinct_edges=distinct)
             ), (seed, i)
 
 
@@ -386,13 +386,14 @@ def test_extend_offers_the_new_edges_to_every_row(name, distinct):
 
 
 @pytest.mark.parametrize(
-    "order, share", [(("y1", "y2", "y3"), 0.25), (None, 1.0)], ids=["ordered", "unordered"]
+    "order, share", [(("y1", "y2", "y3"), 0.25), (None, 0.6)], ids=["ordered", "unordered"]
 )
 def test_extend_skips_the_rows_no_new_edge_reaches(order, share, monkeypatch):
     # on a sparse, long stream most snapshots bring one edge that extends
     # few of the table's rows; the reach gate offers it only to those, so
     # a search plan runs for a small share of the rows offered to extend
-    # (without the gate: once per row)
+    # (without the gate: once per row; with it, about 0.07 ordered and 0.4
+    # unordered)
     g = generate_graph(GenSpec(20, 0.3, 0.01, 200, seed=1))
     p, ta = shape_bgp("path3"), load_ta("ta4")
     plan, extend_rows, counts = bgp_module._plan, engine_module.extend, {"plan": 0, "rows": 0}
@@ -426,18 +427,19 @@ def test_graphs_have_self_loop_matchings():
 _CORPUS = """
 import hashlib
 from itertools import permutations, product
-from tempo_bgp import delta_match, empty_matching, extend, history_upto, parse_bgp
+from tempo_bgp import delta_match, empty_matching, extend, history_upto, match_total, parse_bgp
 from tempo_bgp import run_baseline, run_on_demand, run_partial_match
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.workbench import SHAPE_NAMES, random_graph, ring_automaton, shape_text
 
-texts = [shape_text(name) for name in SHAPE_NAMES] + [%r, %r, %r, %r]
+texts = [shape_text(name) for name in SHAPE_NAMES] + [%r, %r, %r, %r, %r]
 outs = []
 for seed, distinct in product(range(8), (False, True)):
     g = random_graph(SplitMix64(seed), max_nodes=6, max_edges=12)
     for text in texts:
         p = parse_bgp(text)
         ta = ring_automaton(p.width)
+        outs.append(repr(match_total(g, p, distinct_edges=distinct)))
         for engine in (run_baseline, run_on_demand, run_partial_match):
             res = engine(g, p, ta, distinct_edges=distinct)
             c = res.counters
@@ -454,13 +456,16 @@ for seed, distinct in product(range(8), (False, True)):
                 outs.append(repr(pairs))
                 table = table + [m for _, m in pairs]
 print(len(outs), hashlib.sha256("\\n".join(outs).encode()).hexdigest())
-""" % tuple(PATTERNS[name] for name in ("disconnected", "branch", "labels", "constant_self_loop"))
+""" % tuple(
+    PATTERNS[name]
+    for name in ("disconnected", "branch", "labels", "constant_self_loop", "isolated_labelled_node")
+)
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():
-    # the anchored join reads new edges out of a set, and the engines'
-    # ticks read snapshots, whose iteration order follows the string hash
-    # seed; no output, pair order included, may follow it
+    # the matchers return matchings in search order, and new edges and
+    # snapshots arrive as sets, whose iteration order follows the string
+    # hash seed; no output, matching and pair order included, may follow it
     src = str(Path(tempo_bgp.__file__).resolve().parents[1])
     outs = []
     for hash_seed in ("0", "1", "4242"):

@@ -11,7 +11,6 @@ from tempo_bgp import (
     build_graph,
     history_upto,
     load_graph,
-    snapshot,
 )
 from tempo_bgp.temporal_graph import format_time, load_graph_dir, write_graph_dir
 
@@ -31,17 +30,17 @@ def test_interactions_labels(interactions):
 
 
 def test_snapshot_at_2(interactions):
-    assert snapshot(interactions, 2.0) == {"e6", "e7", "e8", "e10", "e12"}
+    assert interactions.snapshots[2.0] == {"e6", "e7", "e8", "e10", "e12"}
 
 
 def test_snapshot_below_domain(interactions):
-    assert snapshot(interactions, 0.5) == frozenset()
+    assert 0.5 not in interactions.snapshots
 
 
 def test_snapshot_at_9(interactions):
     # recomputed independently from the activation sets
     expected = {e for e, ts in interactions.active.items() if 9.0 in ts}
-    assert snapshot(interactions, 9.0) == expected == {"e9"}
+    assert interactions.snapshots[9.0] == expected == {"e9"}
 
 
 def test_history_at_rank_of_1(interactions):
@@ -71,7 +70,7 @@ def test_history_monotone(interactions):
 def test_domain_strictly_increasing_and_snapshots_nonempty(interactions):
     assert all(a < b for a, b in zip(interactions.domain, interactions.domain[1:]))
     for t in interactions.domain:
-        assert snapshot(interactions, t)
+        assert interactions.snapshots[t]
 
 
 def _write(tmp_path, name, text):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tempo_bgp import FormatError, accepts, match_total, snapshot
+from tempo_bgp import FormatError, accepts, match_total
 from tempo_bgp.fixtures import fixture_path, load_bgp, load_ta
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.workbench import (
@@ -68,7 +68,7 @@ class TestCoarsen:
         g = coarsen_graph(interactions, 9)
         assert g.domain == (1.0,)
         active_edges = {e for e, ts in interactions.active.items() if ts}
-        assert snapshot(g, 1.0) == active_edges
+        assert g.snapshots[1.0] == active_edges
 
     def test_factor_three(self, interactions):
         assert len(coarsen_graph(interactions, 3).domain) == 3
