@@ -16,6 +16,9 @@ slots are the node variables, then one slot per constant.  Once every
 edge variable is bound, it appends one matching per fill, an assignment
 of the isolated node variables handed to the plan at run time.  The
 matchers return matchings in search order, the same for every hash seed.
+Given an ``entry``, the matchers run fused plans, whose innermost loop
+takes each matching's first automaton step through a fate table the
+caller fills, and never build a matching that dies there.
 ``match_total`` binds the edge variables in a connected order grown
 from the first one, so no variable scans the whole graph while a bound
 one could reach it through an endpoint index.  The delta join is
@@ -192,7 +195,7 @@ def _slot_table(p: Bgp) -> tuple[_Slot, ...]:
 # a plan is a pure function of its key, so one cache serves every caller
 _PLANS: dict[tuple, Callable[..., None]] = {}
 _DEPTH = 12  # loops per generated function: Python refuses more than 20 nested blocks
-_HEAD = "g, append, pools, scan, consts, mu, fills"
+_HEAD = "g, append, pools, scan, consts, mu, fills, entry"
 _CONTEXT = ("g_edges", "g_nodes", "by_src", "by_dst", "by_pair")
 
 
@@ -214,6 +217,11 @@ def _candidates(a: str | None, b: str | None, dyn: set[str], free: str) -> str:
     return f"by_dst.get({b}, ())" if b is not None else free
 
 
+def _bits(js: Iterable[int], test: str) -> str:
+    """A letter expression: bit ``j`` set when ``test`` holds of ``e{j}``, for ``j`` in ``js``."""
+    return " | ".join(f"({test.format(j)})" + f" << {j}" * (j > 0) for j in js) or "0"
+
+
 def _plan_source(
     slots: tuple[_Slot, ...],
     n: int,
@@ -222,8 +230,9 @@ def _plan_source(
     distinct: bool,
     mode: str,
     bound: tuple[int, ...],
+    fused: bool,
 ) -> str:
-    """Python source of one search, ``_plan0(g, append, pools, scan, consts, mu, fills)``.
+    """Python source of one search, ``_plan0(g, append, pools, scan, consts, mu, fills, entry)``.
 
     The search binds the edge variables of ``order`` with one nested ``for``
     per variable, level ``i`` taking edges of ``pools[i]`` when ``pooled[i]``.
@@ -238,6 +247,14 @@ def _plan_source(
     level bound.  A matching binding every edge variable is appended once
     per fill, a tuple of ``fills`` holding the isolated node slots in order.
     Past ``_DEPTH`` levels the search chains into a further function.
+
+    A ``fused`` leaf looks the matching's class up in ``fate`` instead: an
+    int counts it, unbuilt, and a list gets it.  Under "total", ``entry`` is
+    ``(first, d, snapshots, fate)``; each level folds ``first.get(e, d)``
+    into the entry index ``i``, and the class is ``(i, letter)``, the
+    letter read in ``snapshots[i][1]``.  Else ``entry`` is ``(configs, S,
+    fate)`` and the class ``(configs, letter)``: new edges are all in the
+    snapshot ``S``, so the letter is ``mu``'s bits in ``S`` OR those bound now.
     """
     names: dict[int, str] = {}  # node slot -> the local holding its value
     dyn: set[str] = set()  # the locals that may hold None (unordered)
@@ -251,6 +268,12 @@ def _plan_source(
             if s not in names:
                 names[s] = f"v{s}"
                 head.append(f"v{s} = mu[1][{s}]")
+    total = mode == "total"
+    unpack = ["first, d, snapshots, fate = entry", "get = first.get"] if total else [
+        "configs, S, fate = entry"
+    ]
+    unpack = unpack if fused else []
+    head += unpack + [f"src = {_bits(bound, 'e{} in S')}"] * (fused and not total)
     edges = [f"e{j}" if j in bound else "None" for j in range(len(slots))]
     isolated = sorted(set(range(n)).difference(s for slot in slots for s in slot[:2]))
     params: list[str] = []
@@ -258,23 +281,38 @@ def _plan_source(
     funcs = [(params, head, body)]
     pad = "    "
 
-    def leaf(pad: str, total: bool) -> str:
-        fill = total and bool(isolated)
+    def leaf(pad: str, whole: bool, letter: str) -> str:
+        fill = whole and bool(isolated)
         nodes = (f"w{s}" if fill and s in isolated else names.get(s, "None") for s in range(n))
         m = f"_new(Matching, ({_tuple(edges)}, {_tuple(nodes)}))"
-        line = f"append({m})" if mode == "total" else f"append((mu, {m}))"
-        loop = f"for {_tuple(f'w{s}' for s in isolated)} in fills:\n{pad}    " if fill else ""
-        return f"{pad}{loop}{line}"
+        loop = [f"for {_tuple(f'w{s}' for s in isolated)} in fills:"] if fill else []
+        if not fused:
+            lines = loop + [f"{'    ' * fill}append({m if total else f'(mu, {m})'})"]
+        else:
+            fold = f"i{len(order) - 1}" if order else "d"
+            lines = [f"S = snapshots[{fold}][1]"] if total else []
+            lines += [
+                f"k = ({fold if total else 'configs'}, {letter})",
+                "b = fate[k]",
+                "if b.__class__ is int:",
+                f"    fate[k] = b + {'len(fills)' if fill else 1}",
+                "else:",
+                *(f"    {line}" for line in loop),
+                f"    {'    ' * fill}b.append({m})",
+            ]
+        return "\n".join(pad + line for line in lines)
 
     for i, j in enumerate(order):
         if i and i % _DEPTH == 0:
             params = [*dict.fromkeys(names.values()), *(e for e in edges if e != "None")]
+            if fused:
+                params.append(f"i{i - 1}" if total else "src")
             body.append(f"{pad}_plan{len(funcs)}({_HEAD}, {', '.join(params)})")
-            head, body, pad = [], [], "    "
+            head, body, pad = list(unpack), [], "    "
             funcs.append((params, head, body))
         sa, sb, want, label_a, label_b = slots[j]
         a, b = names.get(sa), names.get(sb)
-        free = "scan" if mode != "total" or i == 0 else "g_edges"
+        free = "scan" if not total or i == 0 else "g_edges"
         source = _candidates(a, b, dyn, free)
         ends = [(sa, "src", label_a)] + ([(sb, "dst", label_b)] if sb != sa else [])
         fresh = [end for end in ends if names.get(end[0]) is None or names[end[0]] in dyn]
@@ -305,17 +343,23 @@ def _plan_source(
         if checks:
             body.append(f"{inner}if {' or '.join(checks)}:\n{inner}    continue")
         body += [f"{inner}{names[s]} = E.{end}" for s, end, _ in fresh]
+        if fused and total:  # the entry index so far: the earliest first snapshot
+            body.append(f"{inner}i{i} = get(e{j}, d)")
+            if i:
+                body.append(f"{inner}if i{i - 1} < i{i}:\n{inner}    i{i} = i{i - 1}")
         edges[j] = f"e{j}"
         if mode == "ordered":
-            body.append(leaf(pad, i == len(order) - 1))
-    if mode == "total":
-        body.append(leaf(pad, True))
+            bits = sum(1 << k for k in order[: i + 1])
+            body.append(leaf(pad, i == len(order) - 1, f"src | {bits}"))
+    if total:
+        body.append(leaf(pad, True, _bits(range(len(slots)), "e{} in S")))
     elif mode == "unordered":
         # a total matching takes the fills, any other one at least one binding
         branches = [(" and ", True)] * bool(isolated) + [(" or ", False)]
-        for kw, (op, total) in zip(("if", "elif"), branches):
+        for kw, (op, whole) in zip(("if", "elif"), branches):
             test = op.join(f"e{j} is not None" for j in order) or "False"
-            body.append(f"{pad}{kw} {test}:\n{leaf(pad + '    ', total)}")
+            bits = sum(1 << k for k in order) if whole else _bits(order, "e{} is not None")
+            body.append(f"{pad}{kw} {test}:\n{leaf(pad + '    ', whole, f'src | {bits}')}")
     src = []
     for c, (params, head, body) in enumerate(funcs):
         text = "\n".join(body)
@@ -340,7 +384,9 @@ def plan_source(p: Bgp, order: Sequence[str] | None = None, distinct_edges: bool
     slots = _slot_table(p)
     n = len(p.node_vars)
     indices = _anchored_order(slots, n, 0) if order is None else order_indices(p, order)
-    return _plan_source(slots, n, tuple(indices), (False,) * len(slots), distinct_edges, "total", ())
+    return _plan_source(
+        slots, n, tuple(indices), (False,) * len(slots), distinct_edges, "total", (), False
+    )
 
 
 def _fills(g: TemporalGraph, p: Bgp) -> list[tuple[str, ...]]:
@@ -366,38 +412,42 @@ def _total(
     slots: tuple[_Slot, ...],
     distinct_edges: bool,
     searches: Iterable[tuple[list[int], list[_Pool | None]]],
-    scan: Iterable[str] | None = None,
-) -> list[Matching]:
+    scan: Iterable[str] | None,
+    entry: tuple | None,
+):
     """Total matchings found by ``searches`` in search order, isolated node variables filled.
 
     Each search runs one compiled plan (``_plan_source``), binding the edge
     variables in its order, variable ``j`` taking edges of its ``pools[j]``,
     and the first one drawing candidates from ``scan`` (every graph edge
     when ``None``) when neither of its endpoints is a constant.  No two
-    searches may find the same matching.
+    searches may find the same matching.  With ``entry``, the plans are
+    fused and ``entry``'s fate table is returned.
     """
     for c in p.constants:
         if c not in g.nodes:
-            return []
+            return [] if entry is None else entry[-1]
     results: list[Matching] = []
     n, fills = len(p.node_vars), _fills(g, p)
     for order, pools in searches:
         pooled = tuple(pools[j] is not None for j in order)
-        plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", ())
+        plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", (), entry is not None)
         plan(g, results.append, [pools[j] for j in order],
-             g.edges if scan is None else scan, p.constants, None, fills)
-    return results
+             g.edges if scan is None else scan, p.constants, None, fills, entry)
+    return results if entry is None else entry[-1]
 
 
-def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False) -> list[Matching]:
+def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False, entry=None):
     """All total matchings of ``p`` in ``g``, ignoring time.
 
     Output comes in search order, the same for every hash seed: the first
     variable of the binding order scans the graph's edges in graph order.
+    With ``entry = (first, d, snapshots, fate)`` the search is fused
+    (``_plan_source``) and ``fate`` is returned.
     """
     slots = _slot_table(p)
     order = _anchored_order(slots, len(p.node_vars), 0)
-    return _total(g, p, slots, distinct_edges, [(order, [None] * len(slots))])
+    return _total(g, p, slots, distinct_edges, [(order, [None] * len(slots))], None, entry)
 
 
 def _anchored_order(slots: tuple[_Slot, ...], n: int, anchor: int) -> list[int]:
@@ -433,7 +483,8 @@ def delta_match(
     new_edges: Iterable[str],
     *,
     distinct_edges: bool = False,
-) -> list[Matching]:
+    entry=None,
+):
     """Total matchings over ``old ∪ new`` that use at least one new edge.
 
     Equivalent to ``match_total`` over the union minus ``match_total`` over
@@ -445,6 +496,7 @@ def delta_match(
     edge; output comes in search order, anchor by anchor, each reading the
     new edges in graph order.  ``old_history`` is read in place when it is
     a set or a dict; an unknown new edge raises ``ReferentialError``.
+    ``entry`` fuses the search as for ``match_total``.
     """
     old = old_history if isinstance(old_history, (set, frozenset, dict)) else set(old_history)
     new = set(new_edges)
@@ -452,7 +504,7 @@ def delta_match(
     if any(e in old for e in new):
         raise FormatError("new_edges must be disjoint from old_history")
     if not new or not p.edge_vars:
-        return []
+        return [] if entry is None else entry[-1]
     slots = _slot_table(p)
     n, last = len(p.node_vars), len(slots) - 1
     union = new.union(old) if last else new
@@ -460,7 +512,7 @@ def delta_match(
         (_anchored_order(slots, n, a), [old] * a + [new] + [union] * (last - a))
         for a in range(last + 1)
     ]
-    return _total(g, p, slots, distinct_edges, searches, scan)
+    return _total(g, p, slots, distinct_edges, searches, scan, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +563,8 @@ def extend(
     *,
     order: Sequence[str] | None = None,
     distinct_edges: bool = False,
-) -> list[tuple[Matching, Matching]]:
+    entry=None,
+):
     """Pairs ``(source, new)``: the extensions of the tracked matchings for a new snapshot.
 
     Each tracked matching yields one pair per proper extension whose added
@@ -538,6 +591,8 @@ def extend(
     without one, each unbound variable is first left unbound, then bound
     to each fitting edge, in declaration order.  Variables with both
     endpoints unbound draw from the new edges alone, in graph order.
+    With ``entry = (snap, fate)``, ``states_matchings`` maps configuration
+    sets to their rows, the searches are fused and ``fate`` is returned.
     """
     new = set(new_edges)
     scan = _graph_order(g, new)
@@ -554,28 +609,32 @@ def extend(
     plans: dict[object, Callable[..., None]] = {}
     pairs: list[tuple[Matching, Matching]] = []
     append = pairs.append
-    for mu in states_matchings:
-        if gate is None:
-            todo = [j for j, e in enumerate(mu.edges) if e is None]
-            values = mu.nodes + consts
-            if not any(_reachable(slots[j], values, srcs, dsts) for j in todo):
-                continue
-            key: object = tuple(todo)
-        else:
-            k = width - mu.edges.count(None)  # the prefix length, if mu binds a prefix
-            reach = gate[k]
-            if reach is False or (reach is not True and mu.nodes[reach[0]] not in reach[1]):
-                continue
-            todo = slot_order[k:]
-            if any(mu.edges[j] is not None for j in todo):
-                continue  # mu itself is not a prefix; nothing to generate
-            key = k
-        plan = plans.get(key)
-        if plan is None:
-            bound = tuple(j for j in range(width) if j not in todo)
-            mode = "unordered" if gate is None else "ordered"
-            plan = plans[key] = _plan(
-                slots, n, tuple(todo), (True,) * len(todo), distinct_edges, mode, bound
-            )
-        plan(g, append, pools, scan, consts, mu, fills)
-    return pairs
+    groups = [(None, states_matchings)] if entry is None else states_matchings.items()
+    for configs, rows in groups:
+        held = None if entry is None else (configs, *entry)
+        for mu in rows:
+            if gate is None:
+                todo = [j for j, e in enumerate(mu.edges) if e is None]
+                values = mu.nodes + consts
+                if not any(_reachable(slots[j], values, srcs, dsts) for j in todo):
+                    continue
+                key: object = tuple(todo)
+            else:
+                k = width - mu.edges.count(None)  # the prefix length, if mu binds a prefix
+                reach = gate[k]
+                if reach is False or (reach is not True and mu.nodes[reach[0]] not in reach[1]):
+                    continue
+                todo = slot_order[k:]
+                if any(mu.edges[j] is not None for j in todo):
+                    continue  # mu itself is not a prefix; nothing to generate
+                key = k
+            plan = plans.get(key)
+            if plan is None:
+                bound = tuple(j for j in range(width) if j not in todo)
+                mode = "unordered" if gate is None else "ordered"
+                plan = plans[key] = _plan(
+                    slots, n, tuple(todo), (True,) * len(todo), distinct_edges, mode, bound,
+                    entry is not None,
+                )
+            plan(g, append, pools, scan, consts, mu, fills, held)
+    return pairs if entry is None else entry[-1]

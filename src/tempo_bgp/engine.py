@@ -20,9 +20,12 @@ end-of-stream acceptance; the engines differ only in how rows enter:
   row takes all its unseen extensions with it.  A row that comes to bind
   every edge variable enters once per fill of its isolated node variables.
 
-Rows are dropped once their configurations empty or only early-reject
-states remain; total matchings touching an early-accept state are emitted
-at once, and new ones whose initial state decides are settled on entry.
+A new row's first step is taken inside the matcher's search, which looks
+its class up in a ``_Fate`` table the core fills; a row dying there is
+counted, never built.  Rows are dropped once their configurations empty
+or only early-reject states remain; total matchings touching an
+early-accept state are emitted at once, and new ones whose initial state
+decides are settled on entry.
 Disabling ``early_exit`` changes counters, never results.  When the
 automaton idles on empty letters (``dead_start``), ``defer_start`` lets
 baseline and on-demand skip the letters before a matching's first edge.
@@ -37,10 +40,12 @@ early exit keeps, whether the stepped set touches an early-accept state
 and whether the kept set rests (lies in ``TimedAutomaton.idle``, where an
 empty letter changes nothing).  Without clocks ``step`` never reads the
 time, so the table lives for the whole run, a lazy subset construction;
-with clocks it is cleared at every tick.  A tick on which no row binds an
-edge of the snapshot while every group rests only counts.  Acceptance
-stays per row, since a partial matching touching an early-accept state is
-filtered instead.  Tracing changes no step.
+with clocks it is cleared at every tick, and a first move is made per
+class at its entry time.  A tick on which no row binds an edge of the
+snapshot while every group rests only counts.  Acceptance stays per row,
+since a partial matching touching an early-accept state is filtered
+instead.  Tracing changes no step; a traced run also builds the rows that
+die on their first letter, so that it can record them.
 
 Streams are checked: timepoints must be positive, finite and strictly
 increasing (``FormatError``) and edges known to the graph (``ReferentialError``).
@@ -78,6 +83,9 @@ Configs = frozenset[Config]
 # a move-table entry: the stepped set, the set early exit keeps, whether the
 # stepped set touches an early-accept state, whether the kept set rests
 _Move = tuple[Configs, Configs, bool, bool]
+# an entering class: its configurations, letter and first move (None when its
+# rows are not stepped), and its rows or, when none is built, their count
+_Entry = tuple[Configs, int, "_Move | None", "list[Matching] | int"]
 
 
 @dataclass
@@ -87,9 +95,10 @@ class Counters:
     ``rows`` counts every configuration advanced by one letter, a class of
     rows at a time (its size times its configurations);
     ``generated`` counts the matchings found (for partial, the rows
-    ``extend`` added), ``early_rejected`` the rows dropped before the end
-    of the stream or refused on entry, and ``warnings`` the orders run
-    unordered because they could not be verified.
+    ``extend`` added, including those never built), ``early_rejected`` the
+    rows dropped before the end of the stream or refused on entry, and
+    ``warnings`` the orders run unordered because they could not be
+    verified.
     """
 
     rows: int = 0
@@ -173,14 +182,6 @@ def _check_streamable(p: Bgp) -> None:
         )
 
 
-def _letter_bits(edges: Sequence[str | None], snap: frozenset[str]) -> int:
-    bits = 0
-    for j, eid in enumerate(edges):
-        if eid is not None and eid in snap:
-            bits |= 1 << j
-    return bits
-
-
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -190,17 +191,54 @@ def _select(items: list, bits: int) -> Iterator:
     return compress(items, bin(bits)[:1:-1].encode().translate(_FLAGS))
 
 
+class _Fate(dict):
+    """The entry classes of one fused matcher call, filled as its leaf meets them.
+
+    A key is ``(entry index, letter)`` for rows entering at
+    ``snapshots[index]`` with the initial configuration, or ``(configs,
+    letter)`` for partial rows entering at ``t``.  Its value is the class's
+    rows, or their count when untraced and the first move keeps and accepts
+    nothing.  ``classes`` holds each key's configurations, letter and first
+    move, None when not stepped: the initial state decides, or the entry
+    snapshot's time is None (after the last one).
+    """
+
+    def __init__(self, core: _Core, snapshots=None, t: float | None = None):
+        super().__init__()
+        self.core, self.snapshots, self.t = core, snapshots, t
+        self.classes: dict[tuple, tuple[Configs, int, _Move | None]] = {}
+        # the initial state settles every row that enters holding it
+        ta = core.ta
+        self.decides = snapshots is not None and core.early_exit and (
+            ta.initial in ta.early_accept or ta.initial in ta.early_reject
+        )
+
+    def __missing__(self, key):
+        core, (head, letter) = self.core, key
+        letter = int(letter)
+        if self.snapshots is None:
+            configs, t = head, self.t
+        else:
+            configs, t = core.seed, None if self.decides else self.snapshots[head][0]
+        # a clocked table holds the current tick's moves, which may not be t's
+        moves = {} if core.ta.n_clocks else core.moves
+        move = None if t is None else moves.get((configs, letter))
+        if move is None and t is not None:
+            move = moves[configs, letter] = core._move(configs, letter, t)
+        self.classes[key] = configs, letter, move
+        keep = move is None or core.trace is not None or move[1] or move[2]
+        value = self[key] = [] if keep else 0
+        return value
+
+
 class _Core:
     """The stepping core: entry rule, working table, one-letter tick, replay, end of stream.
 
-    ``enter`` is the entry rule of baseline and on-demand, which ``replay``
-    then follows; partial rows enter holding their source row's
-    configurations instead.
-
-    New rows wait in ``entering`` (configuration set -> rows) and take their
-    first step row at a time, grouped by ``(configs, letter)``; that step is
-    the one place a letter is computed per row.  Only survivors get an id,
-    their position in ``matchings``, so a row that dies on its first letter
+    New rows arrive stepped once, in the classes of a ``_Fate`` table
+    (``entry`` makes one for baseline and on-demand; ``enter`` applies the
+    entry rule).  A class waits in ``entering`` for the tick of its first
+    letter, which counts it as stepped there.  Only a survivor gets an id,
+    its position in ``matchings``, so a row that dies on its first letter
     costs no bitset work.  A live row is then one bit in a few ``int``
     bitsets:
 
@@ -223,8 +261,9 @@ class _Core:
 
     Moves come from the table ``moves``, keyed by value.  A clockless table
     lives for the whole run; a clocked one is cleared at every tick, since
-    guards and resets read the time.  A move depends only on the automaton
-    and ``early_exit``, so the child core that ``catch_up`` builds per
+    guards and resets read the time (a clocked first move is made at its
+    class's entry time).  A move depends only on the automaton and
+    ``early_exit``, so the child core that ``catch_up`` builds per
     on-demand batch takes its ``parent``'s table and counters; its ticks
     clear the shared table too, so no time's moves leak into another.
     """
@@ -239,7 +278,7 @@ class _Core:
         self.accepted: dict[Matching, float] = {}
         # every new row shares this set, as rows share the move table's
         self.seed = frozenset((ta.initial_config(),))
-        self.entering: dict[Configs, list[Matching]] = {}
+        self.entering: list[_Entry] = []
         self.matchings: list[Matching] = []
         self.groups: dict[Configs, int] = {}
         self.index: dict[str, dict[int, int]] = {}
@@ -248,32 +287,35 @@ class _Core:
         self.resting: int | None = None
         self.total = 0
 
-    def enter(self, batch: list[Matching], t: float, first: dict[str, int], n: int):
-        """The entry rule: settle ``batch`` at ``t`` if the initial state decides,
-        else map snapshot indices to the matchings entering before them: 0, or
-        with ``defer`` the earliest ``first`` index of their edges (``n`` for none)."""
-        if self.early_exit:
-            initial = self.ta.initial
-            if initial in self.ta.early_accept:
-                self.accepted.update(zip(batch, repeat(t)))
-                return {}
-            if initial in self.ta.early_reject:
-                self.counters.early_rejected += len(batch)
-                return {}
-        if not self.defer:
-            return {0: batch}
-        entering: dict[int, list[Matching]] = {}
-        for m in batch:
-            i = n
-            for e in m.edges:
-                j = first.get(e, n)
-                if j < i:
-                    i = j
-            entering.setdefault(i, []).append(m)
+    def entry(self, first: dict[str, int], snapshots) -> tuple:
+        """The matcher's ``entry`` for rows entering at ``snapshots[0]``, or with
+        ``defer`` at the earliest ``first`` index of their edges, else the last."""
+        fate = _Fate(self, snapshots)
+        if self.defer:
+            return first, len(snapshots) - 1, snapshots, fate
+        return {}, 0, snapshots, fate
+
+    def enter(self, fate: _Fate, t: float) -> dict[object, list[_Entry]]:
+        """The entry rule on ``fate``'s classes, counted into ``generated``:
+        settle them at ``t`` if the initial state decides, else map each key's
+        head (an entry index, or partial's configurations) to its classes."""
+        counters, accepted, entering = self.counters, self.accepted, {}
+        accepts = self.ta.initial in self.ta.early_accept
+        for key, rows in fate.items():
+            counters.generated += rows if rows.__class__ is int else len(rows)
+            configs, letter, move = fate.classes[key]
+            if fate.decides:
+                if accepts:
+                    accepted.update(zip(rows, repeat(t)))
+                else:
+                    counters.early_rejected += len(rows)
+            else:
+                entering.setdefault(key[0], []).append((configs, letter, move, rows))
         return entering
 
     def tick(self, snap, t) -> None:
-        """Advance every row one letter: the live groups by class, then the entering rows."""
+        """Advance every row one letter: the live groups by class; then the
+        entering classes, whose first step the matcher took, enter."""
         if self.ta.n_clocks:  # guards and resets read t
             self.moves.clear()
         if self.groups:
@@ -292,7 +334,7 @@ class _Core:
                         for m in rows:
                             self.trace.add_row(t, m, 0, configs, "alive")
         if self.entering:
-            self._step_entering(snap, t)
+            self._enter(t)
 
     def _step_groups(self, hits, t) -> None:
         """Split every live group into letter classes by ``hits``, the index
@@ -353,44 +395,39 @@ class _Core:
         if 2 * live <= len(matchings):
             self._renumber()
 
-    def _step_entering(self, snap, t) -> None:
-        """The entering rows' first step, row at a time; the survivors get ids."""
-        counters, accepted, trace, moves = self.counters, self.accepted, self.trace, self.moves
-        letter_bits = _letter_bits
+    def _enter(self, t) -> None:
+        """Count the entering classes' first step at ``t``; accept, give survivors ids."""
+        counters, accepted, trace = self.counters, self.accepted, self.trace
         resting = self.resting if self.groups else 0
         survivors: dict[Configs, list[Matching]] = {}
-        for configs, batch in self.entering.items():
-            classes: dict[int, list[Matching]] = {}
-            for m in batch:
-                classes.setdefault(letter_bits(m.edges, snap), []).append(m)
-            for letter, rows in classes.items():
-                move = moves.get((configs, letter))
-                if move is None:
-                    move = moves[configs, letter] = self._move(configs, letter, t)
-                nxt, kept, touches_accept, rests = move
-                counters.rows += len(rows) * len(configs)
-                if touches_accept:
-                    alive = []
-                    for m in rows:
-                        if m.is_total():
-                            accepted[m] = t
-                            if trace is not None:
-                                trace.add_row(t, m, letter, nxt, "accepted")
-                        else:
-                            alive.append(m)
-                    rows = alive
-                if kept:
-                    survivors.setdefault(kept, []).extend(rows)
-                    if resting is not None:
-                        resting = resting + len(rows) * len(kept) if rests else None
-                    status = "alive"
-                else:
-                    counters.early_rejected += len(rows)
-                    status = "dropped"
-                if trace is not None:
-                    for m in rows:
-                        trace.add_row(t, m, letter, kept, status)
-        self.entering = {}
+        for configs, letter, (nxt, kept, touches_accept, rests), rows in self.entering:
+            if rows.__class__ is int:  # they all died on this move, never built
+                counters.rows += rows * len(configs)
+                counters.early_rejected += rows
+                continue
+            counters.rows += len(rows) * len(configs)
+            if touches_accept:
+                alive = []
+                for m in rows:
+                    if m.is_total():
+                        accepted[m] = t
+                        if trace is not None:
+                            trace.add_row(t, m, letter, nxt, "accepted")
+                    else:
+                        alive.append(m)
+                rows = alive
+            if kept:
+                survivors.setdefault(kept, []).extend(rows)
+                if resting is not None:
+                    resting = resting + len(rows) * len(kept) if rests else None
+                status = "alive"
+            else:
+                counters.early_rejected += len(rows)
+                status = "dropped"
+            if trace is not None:
+                for m in rows:
+                    trace.add_row(t, m, letter, kept, status)
+        self.entering = []
         self._admit(survivors)
         self.resting = resting
 
@@ -442,29 +479,26 @@ class _Core:
             configs: list(_select(matchings, ids)) for configs, ids in self.groups.items()
         }
 
-    def replay(self, entering: dict[int, list[Matching]], snapshots) -> None:
-        """Seed ``entering[i]`` before ``snapshots[i]`` (after the last one for
-        ``i == len(snapshots)``) and step to the end."""
-        n = len(snapshots)
-        for i in range(min(entering, default=n), n):
+    def replay(self, entering: dict[int, list[_Entry]], snapshots, end: int) -> None:
+        """Enter ``entering[i]`` at ``snapshots[i]`` and step to ``snapshots[end - 1]``;
+        ``entering[end]`` is left entering."""
+        for i in range(min(entering, default=end), end):
             if i in entering:
-                self.entering.setdefault(self.seed, []).extend(entering[i])
+                self.entering = entering[i]
             if self.groups or self.entering:
                 t, snap = snapshots[i]
                 self.tick(snap, t)
-        if n in entering:
-            self.entering.setdefault(self.seed, []).extend(entering[n])
+        self.entering = entering.get(end, [])
 
-    def catch_up(self, entering: dict[int, list[Matching]], snapshots, t: float, batch) -> None:
-        """Replay ``entering`` over ``snapshots`` in a child core, then take its
-        rows in: live ones through ``_admit``, entering ones as they stand.  Its
-        acceptances are stamped ``t``, the discovery time, and a trace gets one
-        ``CatchUpEvent`` per matching of ``batch``."""
+    def catch_up(self, entering: dict[int, list[_Entry]], past, t: float) -> None:
+        """Replay ``entering`` over ``past`` but its last, current snapshot in a
+        child core, then take its rows in: live ones through ``_admit``,
+        entering ones as they stand.  Its acceptances are stamped ``t``, the
+        discovery time, and a trace gets one ``CatchUpEvent`` per matching."""
         child = _Core(self.ta, self.early_exit, None if self.trace is None else Trace(), self)
-        child.replay(entering, snapshots)
+        child.replay(entering, past, len(past) - 1)
         self._admit(child.live())
-        for configs, rows in child.entering.items():
-            self.entering.setdefault(configs, []).extend(rows)
+        self.entering = child.entering
         self.accepted.update(zip(child.accepted, repeat(t)))
         # the next tick is on the snapshot holding every survivor's new edge,
         # so it steps the groups and recounts resting
@@ -472,12 +506,14 @@ class _Core:
         if self.trace is not None:
             # each replayed matching's last row says where its replay ended
             last = {r.matching: r for r in child.trace.rows}
-            for m in batch:
-                r = last.get(m)
-                if r is None:  # joined after the last letter seen so far
-                    self.trace.add_event(m, t, self.seed, None)
-                else:
-                    self.trace.add_event(m, t, r.configs, r.t if r.status == "dropped" else None)
+            for *_, rows in chain.from_iterable(entering.values()):
+                for m in rows:
+                    r = last.get(m)
+                    if r is None:  # its first letter is the current snapshot's
+                        self.trace.add_event(m, t, self.seed, None)
+                    else:
+                        eliminated = r.t if r.status == "dropped" else None
+                        self.trace.add_event(m, t, r.configs, eliminated)
 
     def finish(self, t: float) -> EngineResult:
         """End of stream: rows holding an accepting configuration are accepted at ``t``."""
@@ -485,9 +521,9 @@ class _Core:
         for configs, ids in self.groups.items():
             if any(s in accepting for s, _ in configs):
                 accepted.update(zip(_select(self.matchings, ids & self.total), repeat(t)))
-        for configs, batch in self.entering.items():
+        for configs, _, _, rows in self.entering:  # entered after the last snapshot
             if any(s in accepting for s, _ in configs):
-                accepted.update((m, t) for m in batch if m.is_total())
+                accepted.update((m, t) for m in rows if m.is_total())
         # accepted matchings are total and distinct, so they sort as they are
         return EngineResult(sorted(accepted.items()), self.counters)
 
@@ -532,14 +568,16 @@ def run_baseline(
     """Match first, then run the automaton once over the whole domain."""
     _check_width(p, ta)
     core = _Core(ta, early_exit, trace, defer_start=defer_start)
-    matchings = match_total(g, p, distinct_edges=distinct_edges)
-    core.counters.generated = len(matchings)
-    if trace is not None:
-        for m in matchings:
-            trace.add_row(0.0, m, 0, core.seed, "alive")
     snapshots = [(t, g.snapshots[t]) for t in g.domain]
     first = {e: r - 1 for e, r in g.first_rank.items()}
-    core.replay(core.enter(matchings, 0.0, first, len(snapshots)), snapshots)
+    # a row entering after the last snapshot reads no letter and waits for finish
+    entry = core.entry(first, [*snapshots, (None, frozenset())])
+    fate = match_total(g, p, distinct_edges=distinct_edges, entry=entry)
+    if trace is not None:
+        for rows in fate.values():
+            for m in rows:
+                trace.add_row(0.0, m, 0, core.seed, "alive")
+    core.replay(core.enter(fate, 0.0), snapshots, len(snapshots))
     return core.finish(g.domain[-1] if g.domain else 0.0)
 
 
@@ -562,18 +600,18 @@ def run_on_demand(
     _check_width(p, ta)
     _check_streamable(p)
     core = _Core(ta, early_exit, trace, defer_start=defer_start)
-    past: list[tuple[float, frozenset[str]]] = []
+    past: list[tuple[float, frozenset[str]]] = []  # the snapshots so far, the current one last
     first: dict[str, int] = {}  # edge -> index in past of the snapshot that first held it
     t = 0.0
     for t, snap, new_edges in _snapshots(g, stream):
-        if new_edges:
-            batch = delta_match(g, p, first, new_edges, distinct_edges=distinct_edges)
-            core.counters.generated += len(batch)
-            if batch and (entering := core.enter(batch, t, first, len(past))):
-                core.catch_up(entering, past, t, batch)
-            first.update(zip(new_edges, repeat(len(past))))
-        core.tick(snap, t)
         past.append((t, snap))
+        if new_edges:
+            entry = core.entry(first, past)
+            fate = delta_match(g, p, first, new_edges, distinct_edges=distinct_edges, entry=entry)
+            if entering := core.enter(fate, t):
+                core.catch_up(entering, past, t)
+            first.update(zip(new_edges, repeat(len(past) - 1)))
+        core.tick(snap, t)
     return core.finish(t)
 
 
@@ -617,18 +655,11 @@ def run_partial_match(
     t = 0.0
     for t, snap, new_edges in _snapshots(g, stream):
         if new_edges and core.groups:
-            live = core.live()
-            rows = list(chain.from_iterable(live.values()))
-            grown = extend(g, p, rows, new_edges, order=order, distinct_edges=distinct_edges)
-            core.counters.generated += len(grown)
-            # an extension enters holding its source's configurations; the
-            # pairs come in the order of their sources, so one walk finds them
-            held = ((m, configs) for configs, batch in live.items() for m in batch)
-            row = configs = None
-            for source, m in grown:
-                while row is not source:
-                    row, configs = next(held)
-                core.entering.setdefault(configs, []).append(m)
+            # an extension enters holding its source's configurations
+            entry = (snap, _Fate(core, t=t))
+            kw = dict(order=order, distinct_edges=distinct_edges, entry=entry)
+            fate = extend(g, p, core.live(), new_edges, **kw)
+            core.entering = list(chain.from_iterable(core.enter(fate, t).values()))
         core.tick(snap, t)
     return core.finish(t)
 

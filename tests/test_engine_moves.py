@@ -65,17 +65,19 @@ def test_equal_moves_are_stepped_once(name, spec, shape, automaton, monkeypatch)
 def test_letters_are_read_once_per_entering_row(name, traced, monkeypatch):
     # a row that survives its first step becomes a bit position, and a tick
     # reads the letters of whole groups from per-slot bitsets; only an
-    # entering row's first step computes a letter of its own (partial's
+    # entering row's first step, taken in the matcher's leaf, computes a
+    # letter of its own, to look its class up in the fate table (partial's
     # empty row may be one more)
     g = generate_graph(GenSpec(10, 0.5, 0.3, 100, seed=7))
     p, ta = shape_bgp("path2"), load_ta("ta7")
-    letter_bits, calls = engine_module._letter_bits, [0]
+    calls = [0]
 
-    def counting_letter_bits(*args):
-        calls[0] += 1
-        return letter_bits(*args)
+    class CountingFate(engine_module._Fate):
+        def __getitem__(self, key):
+            calls[0] += 1
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(engine_module, "_letter_bits", counting_letter_bits)
+    monkeypatch.setattr(engine_module, "_Fate", CountingFate)
     res = ENGINES[name](g, p, ta, trace=Trace() if traced else None)
     assert res.counters.rows > 1000
     assert calls[0] <= res.counters.generated + (name == "partial"), (calls[0], res.counters)

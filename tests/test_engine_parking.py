@@ -235,18 +235,19 @@ def test_parked_rows_are_not_stepped(name, monkeypatch):
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_parked_rows_are_not_visited(name, traced, monkeypatch):
-    # step runs only on move-table misses; _letter_bits runs once per row
-    # stepped on its own, hit or miss, so it sees a live row that is
+    # step runs only on move-table misses; a fate-table lookup happens once
+    # per row stepped on its own, hit or miss, so it sees a live row that is
     # stepped row at a time instead of with its class
     g = generate_graph(GenSpec(12, 0.3, 0.02, 200, seed=1))
     p, ta = shape_bgp("path3"), load_ta("ta4")
-    letter_bits, visits = engine_module._letter_bits, [0]
+    visits = [0]
 
-    def counting_letter_bits(*args):
-        visits[0] += 1
-        return letter_bits(*args)
+    class CountingFate(engine_module._Fate):
+        def __getitem__(self, key):
+            visits[0] += 1
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(engine_module, "_letter_bits", counting_letter_bits)
+    monkeypatch.setattr(engine_module, "_Fate", CountingFate)
     res = ENGINES[name](g, p, ta, defer_start=True, trace=Trace() if traced else None)
     assert res.counters.rows > 1000
     assert visits[0] <= res.counters.rows / 2, (visits[0], res.counters.rows)
