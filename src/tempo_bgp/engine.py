@@ -9,10 +9,11 @@ end-of-stream acceptance; the engines differ only in how rows enter:
   at the first snapshot holding one of its edges (after the last letter
   when none is ever active), and one replay covers the domain.
 * ``run_on_demand`` consumes snapshots as a stream.  Matchings are found
-  when their last edge enters the history, and each snapshot's batch is
-  caught up by the same replay over the snapshots seen so far; catch-up
-  acceptances are stamped with the discovery time, and the survivors join
-  the run's table as any new row does.
+  when their last edge enters the history, and each one is caught up on
+  its own over the snapshots seen so far: it steps at those holding one of
+  its edges, and at the others only while its configurations do not rest.
+  Catch-up acceptances are stamped with the discovery time, and the
+  survivors join the run's table as any new row does.
 * ``run_partial_match`` also tracks partial matchings, so new rows inherit
   live configurations from the row they extend and nothing is replayed.
   Extensions only bind edges first seen in the current snapshot; older
@@ -54,6 +55,7 @@ increasing (``FormatError``) and edges known to the graph (``ReferentialError``)
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from typing import Iterator, Sequence
@@ -128,7 +130,9 @@ class RowTrace:
 
 @dataclass
 class CatchUpEvent:
-    """One on-demand catch-up; matchings settled on entry are not replayed and get none."""
+    """Where one on-demand catch-up ended: the matching's configurations before
+    its discovery snapshot, and the time it was dropped, if it was.  Matchings
+    settled on entry are not caught up and get none."""
 
     matching: Matching
     discovered_at: float
@@ -232,7 +236,8 @@ class _Fate(dict):
 
 
 class _Core:
-    """The stepping core: entry rule, working table, one-letter tick, replay, end of stream.
+    """The stepping core: entry rule, working table, one-letter tick, replay,
+    catch-up, end of stream.
 
     New rows arrive stepped once, in the classes of a ``_Fate`` table
     (``entry`` makes one for baseline and on-demand; ``enter`` applies the
@@ -262,19 +267,18 @@ class _Core:
     Moves come from the table ``moves``, keyed by value.  A clockless table
     lives for the whole run; a clocked one is cleared at every tick, since
     guards and resets read the time (a clocked first move is made at its
-    class's entry time).  A move depends only on the automaton and
-    ``early_exit``, so the child core that ``catch_up`` builds per
-    on-demand batch takes its ``parent``'s table and counters; its ticks
-    clear the shared table too, so no time's moves leak into another.
+    class's entry time).  On-demand's ``catch_up`` walks each caught-up row
+    on its own, through the same clockless table; clocked, it keeps one
+    table per past snapshot, so no time's moves leak into another.
     """
 
-    def __init__(self, ta, early_exit, trace, parent: _Core | None = None, defer_start=False):
+    def __init__(self, ta, early_exit, trace, defer_start=False):
         self.ta = ta
         self.early_exit = early_exit
         self.defer = defer_start and ta.dead_start
         self.trace = trace
-        self.counters = Counters() if parent is None else parent.counters
-        self.moves: dict[tuple[Configs, int], _Move] = {} if parent is None else parent.moves
+        self.counters = Counters()
+        self.moves: dict[tuple[Configs, int], _Move] = {}
         self.accepted: dict[Matching, float] = {}
         # every new row shares this set, as rows share the move table's
         self.seed = frozenset((ta.initial_config(),))
@@ -286,6 +290,10 @@ class _Core:
         # some group may not rest, or before the first step of the groups
         self.resting: int | None = None
         self.total = 0
+        # on-demand catch-up: edge -> indices of the past snapshots holding it,
+        # filled up to index ``indexed``
+        self.active: dict[str, list[int]] = {}
+        self.indexed = 0
 
     def entry(self, first: dict[str, int], snapshots) -> tuple:
         """The matcher's ``entry`` for rows entering at ``snapshots[0]``, or with
@@ -479,9 +487,10 @@ class _Core:
             configs: list(_select(matchings, ids)) for configs, ids in self.groups.items()
         }
 
-    def replay(self, entering: dict[int, list[_Entry]], snapshots, end: int) -> None:
-        """Enter ``entering[i]`` at ``snapshots[i]`` and step to ``snapshots[end - 1]``;
-        ``entering[end]`` is left entering."""
+    def replay(self, entering: dict[int, list[_Entry]], snapshots) -> None:
+        """Enter ``entering[i]`` at ``snapshots[i]`` and step to the last snapshot;
+        ``entering[len(snapshots)]`` is left entering."""
+        end = len(snapshots)
         for i in range(min(entering, default=end), end):
             if i in entering:
                 self.entering = entering[i]
@@ -491,29 +500,89 @@ class _Core:
         self.entering = entering.get(end, [])
 
     def catch_up(self, entering: dict[int, list[_Entry]], past, t: float) -> None:
-        """Replay ``entering`` over ``past`` but its last, current snapshot in a
-        child core, then take its rows in: live ones through ``_admit``,
-        entering ones as they stand.  Its acceptances are stamped ``t``, the
-        discovery time, and a trace gets one ``CatchUpEvent`` per matching."""
-        child = _Core(self.ta, self.early_exit, None if self.trace is None else Trace(), self)
-        child.replay(entering, past, len(past) - 1)
-        self._admit(child.live())
-        self.entering = child.entering
-        self.accepted.update(zip(child.accepted, repeat(t)))
+        """Walk each row of ``entering`` on its own over ``past`` up to its last,
+        current snapshot, then take the survivors in through ``_admit``.
+
+        A row walks on from its first move and moves again only at its
+        events, the snapshots holding one of its edges, or at every snapshot
+        while its configurations do not rest; a resting stretch is counted
+        in one addition.  ``active`` maps each edge to the indices in
+        ``past`` of the snapshots holding it; each catch-up extends it over
+        the snapshots no earlier one read.  Rows entering at the current
+        snapshot stay entering.  Acceptances are stamped ``t``, the discovery
+        time, and a trace gets one ``CatchUpEvent`` per matching, from where
+        its walk ended.
+        """
+        end = len(past) - 1
+        counters, accepted, moves, active = self.counters, self.accepted, self.moves, self.active
+        for j in range(self.indexed, end):
+            for edge in past[j][1]:
+                active.setdefault(edge, []).append(j)
+        self.indexed = end
+        clocked = self.ta.n_clocks
+        tables: dict[int, dict] = {}  # clocked: snapshot index -> the moves at its time
+        ends: dict[Matching, tuple[Configs, float | None]] = {}  # where each walk ended
+
+        def walk(m, move, i) -> Configs | None:
+            """Walk ``m`` on from its ``move`` at ``past[i]`` to the current
+            snapshot; return its configurations there, None when it settled."""
+            activity = [(js, 1 << slot) for slot, edge in enumerate(m.edges) if (js := active.get(edge))]
+            event = i  # the next snapshot holding an edge of m, found once i passes it
+            while True:
+                nxt, kept, touches_accept, rests = move
+                if touches_accept:  # a caught-up row is total
+                    accepted[m] = t
+                    ends[m] = nxt, None
+                    return None
+                if not kept:
+                    counters.early_rejected += 1
+                    ends[m] = kept, past[i][0]
+                    return None
+                configs, i = kept, i + 1
+                if event < i:
+                    event, letter = end, 0
+                    for js, bit in activity:
+                        if js[-1] >= i:
+                            j = js[bisect_left(js, i)]
+                            if j < event:
+                                event, letter = j, bit
+                            elif j == event:
+                                letter |= bit
+                if rests and i < event:  # empty letters change nothing
+                    counters.rows += len(configs) * (event - i)
+                    i = event
+                if i == end:
+                    return configs
+                read = letter if i == event else 0
+                table = tables.setdefault(i, {}) if clocked else moves
+                move = table.get((configs, read))
+                if move is None:
+                    move = table[configs, read] = self._move(configs, read, past[i][0])
+                counters.rows += len(configs)
+
+        survivors: dict[Configs, list[Matching]] = {}
+        for e, classes in entering.items():
+            if e == end:
+                continue
+            for configs, _, move, rows in classes:
+                if rows.__class__ is int:  # they all died on their first move, never built
+                    counters.rows += rows * len(configs)
+                    counters.early_rejected += rows
+                    continue
+                counters.rows += len(rows) * len(configs)
+                for m in rows:
+                    if (last := walk(m, move, e)) is not None:
+                        survivors.setdefault(last, []).append(m)
+                        ends[m] = last, None
+        self._admit(survivors)
+        self.entering = entering.get(end, [])
         # the next tick is on the snapshot holding every survivor's new edge,
         # so it steps the groups and recounts resting
         self.resting = None
         if self.trace is not None:
-            # each replayed matching's last row says where its replay ended
-            last = {r.matching: r for r in child.trace.rows}
             for *_, rows in chain.from_iterable(entering.values()):
-                for m in rows:
-                    r = last.get(m)
-                    if r is None:  # its first letter is the current snapshot's
-                        self.trace.add_event(m, t, self.seed, None)
-                    else:
-                        eliminated = r.t if r.status == "dropped" else None
-                        self.trace.add_event(m, t, r.configs, eliminated)
+                for m in rows:  # one entering at the current snapshot has read nothing
+                    self.trace.add_event(m, t, *ends.get(m, (self.seed, None)))
 
     def finish(self, t: float) -> EngineResult:
         """End of stream: rows holding an accepting configuration are accepted at ``t``."""
@@ -577,7 +646,7 @@ def run_baseline(
         for rows in fate.values():
             for m in rows:
                 trace.add_row(0.0, m, 0, core.seed, "alive")
-    core.replay(core.enter(fate, 0.0), snapshots, len(snapshots))
+    core.replay(core.enter(fate, 0.0), snapshots)
     return core.finish(g.domain[-1] if g.domain else 0.0)
 
 
@@ -592,7 +661,7 @@ def run_on_demand(
     trace: Trace | None = None,
     stream: Stream | None = None,
 ) -> EngineResult:
-    """Consume snapshots in order; catch each batch of new matchings up by replay.
+    """Consume snapshots in order; catch each new matching up over the snapshots seen so far.
 
     Only the prefix of the domain seen so far is ever touched, so the
     snapshot source may be a live stream.

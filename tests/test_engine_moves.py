@@ -146,7 +146,7 @@ Y1_WITHIN2 = TimedAutomaton(
 )
 # y1 is e1 or e3 (both a -> b, first active at t=1), y2 is e2 or e4.  The
 # main core steps (e1, e2) from {(1, (1.0,))} on letter 01 at t=4 and
-# drops it; at t=5 e4 arrives and the catch-up replay steps (e3, e4) from
+# drops it; at t=5 e4 arrives and the catch-up walk steps (e3, e4) from
 # the same set on the same letter at t=2, which accepts
 Y1_WITHIN2_GRAPH = {
     "nodes": {"a": "n", "b": "n", "c": "n"},

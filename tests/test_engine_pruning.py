@@ -113,7 +113,7 @@ def test_on_demand_eliminates_during_catch_up(interactions, bgp):
     tr = Trace()
     res = run_on_demand(interactions, bgp["cycle2u"], SINKING, trace=tr)
     # (e5, e6) starts with a lone y1 letter at t=1, so the row discovered
-    # at t=2 dies while replaying that prefix
+    # at t=2 dies while its catch-up walks that prefix
     dead = [e for e in tr.events if e.matching.edges == ("e5", "e6")]
     assert dead and dead[0].eliminated_at == 1.0
     assert ("e5", "e6") not in {m.edges for m in res.accepted_set}
