@@ -290,10 +290,6 @@ class _Core:
         # some group may not rest, or before the first step of the groups
         self.resting: int | None = None
         self.total = 0
-        # on-demand catch-up: edge -> indices of the past snapshots holding it,
-        # filled up to index ``indexed``
-        self.active: dict[str, list[int]] = {}
-        self.indexed = 0
 
     def entry(self, first: dict[str, int], snapshots) -> tuple:
         """The matcher's ``entry`` for rows entering at ``snapshots[0]``, or with
@@ -499,7 +495,7 @@ class _Core:
                 self.tick(snap, t)
         self.entering = entering.get(end, [])
 
-    def catch_up(self, entering: dict[int, list[_Entry]], past, t: float) -> None:
+    def catch_up(self, entering: dict[int, list[_Entry]], past, active, t: float) -> None:
         """Walk each row of ``entering`` on its own over ``past`` up to its last,
         current snapshot, then take the survivors in through ``_admit``.
 
@@ -507,18 +503,14 @@ class _Core:
         events, the snapshots holding one of its edges, or at every snapshot
         while its configurations do not rest; a resting stretch is counted
         in one addition.  ``active`` maps each edge to the indices in
-        ``past`` of the snapshots holding it; each catch-up extends it over
-        the snapshots no earlier one read.  Rows entering at the current
+        ``past`` of the snapshots before the current one that hold it.  Rows
+        entering at the current
         snapshot stay entering.  Acceptances are stamped ``t``, the discovery
         time, and a trace gets one ``CatchUpEvent`` per matching, from where
         its walk ended.
         """
         end = len(past) - 1
-        counters, accepted, moves, active = self.counters, self.accepted, self.moves, self.active
-        for j in range(self.indexed, end):
-            for edge in past[j][1]:
-                active.setdefault(edge, []).append(j)
-        self.indexed = end
+        counters, accepted, moves = self.counters, self.accepted, self.moves
         clocked = self.ta.n_clocks
         tables: dict[int, dict] = {}  # clocked: snapshot index -> the moves at its time
         ends: dict[Matching, tuple[Configs, float | None]] = {}  # where each walk ended
@@ -671,6 +663,11 @@ def run_on_demand(
     core = _Core(ta, early_exit, trace, defer_start=defer_start)
     past: list[tuple[float, frozenset[str]]] = []  # the snapshots so far, the current one last
     first: dict[str, int] = {}  # edge -> index in past of the snapshot that first held it
+    # edge -> indices in past of the snapshots holding it, for catch-up: it
+    # grows with the stream as past does, and is filled up to index
+    # ``indexed`` only when a catch-up reads it, so idle snapshots add nothing
+    active: dict[str, list[int]] = {}
+    indexed = 0
     t = 0.0
     for t, snap, new_edges in _snapshots(g, stream):
         past.append((t, snap))
@@ -678,7 +675,11 @@ def run_on_demand(
             entry = core.entry(first, past)
             fate = delta_match(g, p, first, new_edges, distinct_edges=distinct_edges, entry=entry)
             if entering := core.enter(fate, t):
-                core.catch_up(entering, past, t)
+                for j in range(indexed, len(past) - 1):
+                    for edge in past[j][1]:
+                        active.setdefault(edge, []).append(j)
+                indexed = len(past) - 1
+                core.catch_up(entering, past, active, t)
             first.update(zip(new_edges, repeat(len(past) - 1)))
         core.tick(snap, t)
     return core.finish(t)

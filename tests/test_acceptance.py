@@ -8,8 +8,7 @@ else is fast.
 
 from __future__ import annotations
 
-import gc
-import statistics
+import math
 import time
 
 import pytest
@@ -308,40 +307,19 @@ def test_criterion_08_automaton_size_invariance(bench_graph):
         a = ring_automaton(4, laps=laps)
         assert a.n_states == 4 * laps
         sizes.append(a)
-    ref = ring_automaton(4)
     accepted = []
-
-    def timed(a):
-        # as timeit does: collect first and keep the collector out of the
-        # timed call, so its pauses follow heap history, not the automaton
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            result = run_baseline(bench_graph, p, a)
-            dt = time.perf_counter() - t0
-        finally:
-            gc.enable()
-        accepted.append(result.accepted_set)
-        return dt
-
-    # Each size is timed between two runs of the 4-state reference and
-    # costed as its time over their mean; a size's cost is its median over
-    # the rounds. The host's speed drifts over seconds, so neighbouring runs
-    # share it and the ratio cancels it, where times from different rounds
-    # do not.
-    ratios = [[] for _ in sizes]
-    before = timed(ref)
+    times = [math.inf] * len(sizes)
+    # round-robin, best per size over the rounds: a slow phase of the host
+    # then slows one round of every size, not a block of consecutive sizes
     for _ in range(3):
         for k, a in enumerate(sizes):
-            t = timed(a)
-            after = timed(ref)
-            ratios[k].append(2.0 * t / (before + after))
-            before = after
+            t0 = time.perf_counter()
+            result = run_baseline(bench_graph, p, a)
+            times[k] = min(times[k], time.perf_counter() - t0)
+            accepted.append(result.accepted_set)
     assert all(s == accepted[0] for s in accepted)
-    costs = [statistics.median(r) for r in ratios]
-    spread = max(costs) / min(costs) - 1.0
-    assert spread < 0.25, f"run time spread {spread:.2%} across sizes {costs}"
+    spread = max(times) / min(times) - 1.0
+    assert spread < 0.25, f"run time spread {spread:.2%} across sizes {times}"
 
 
 def test_criterion_09_clock_count_overhead(bench_graph):
