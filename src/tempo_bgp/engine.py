@@ -23,7 +23,10 @@ end-of-stream acceptance; the engines differ only in how rows enter:
 
 A new row's first step is taken inside the matcher's search, which looks
 its class up in a ``_Fate`` table the core fills; a row dying there is
-counted, never built.  Rows are dropped once their configurations empty
+counted, never built, and a total one it accepts is accepted on entry.
+Every other new row joins the table holding the configurations it had
+before that letter, and the tick of its entry snapshot steps it with the
+live rows.  Rows are dropped once their configurations empty
 or only early-reject states remain; total matchings touching an
 early-accept state are emitted at once, and new ones whose initial state
 decides are settled on entry.
@@ -32,8 +35,8 @@ automaton idles on empty letters (``dead_start``), ``defer_start`` lets
 baseline and on-demand skip the letters before a matching's first edge.
 
 The core steps rows set-at-a-time, as bit-parallel automaton simulation
-carries many runs in one machine word.  A row that survives its first
-letter becomes a bit position; rows holding equal configuration sets form
+carries many runs in one machine word.  A row that joins the table
+becomes a bit position; rows holding equal configuration sets form
 a group, and an index ``edge -> {slot: rows binding it there}`` splits a
 group into letter classes at every tick.  Each ``(configs, letter)`` class
 moves once, through a move table that maps it to the stepped set, the set
@@ -41,12 +44,13 @@ early exit keeps, whether the stepped set touches an early-accept state
 and whether the kept set rests (lies in ``TimedAutomaton.idle``, where an
 empty letter changes nothing).  Without clocks ``step`` never reads the
 time, so the table lives for the whole run, a lazy subset construction;
-with clocks it is cleared at every tick, and a first move is made per
-class at its entry time.  A tick on which no row binds an edge of the
-snapshot while every group rests only counts.  Acceptance stays per row,
-since a partial matching touching an early-accept state is filtered
-instead.  Tracing changes no step; a traced run also builds the rows that
-die on their first letter, so that it can record them.
+with clocks it is cleared at every tick, so the matcher's first move of
+a class is made apart from it, at the class's entry time.  A tick on
+which no row binds an edge of the snapshot while every group rests only
+counts.  Acceptance stays per row, since a partial matching touching an
+early-accept state is filtered instead.  Tracing changes no step; a
+traced run also builds the rows that die on their first letter, and they
+join the table so that the tick records them.
 
 Streams are checked: timepoints must be positive, finite and strictly
 increasing (``FormatError``) and edges known to the graph (``ReferentialError``).
@@ -58,7 +62,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bgp import (
     Bgp,
@@ -204,7 +208,9 @@ class _Fate(dict):
     rows, or their count when untraced and the first move keeps and accepts
     nothing.  ``classes`` holds each key's configurations, letter and first
     move, None when not stepped: the initial state decides, or the entry
-    snapshot's time is None (after the last one).
+    snapshot's time is None (after the last one).  The first move decides
+    what ``_Core.join`` settles on entry; the tick takes it again for the
+    rows that join the table.
     """
 
     def __init__(self, core: _Core, snapshots=None, t: float | None = None):
@@ -241,11 +247,13 @@ class _Core:
 
     New rows arrive stepped once, in the classes of a ``_Fate`` table
     (``entry`` makes one for baseline and on-demand; ``enter`` applies the
-    entry rule).  A class waits in ``entering`` for the tick of its first
-    letter, which counts it as stepped there.  Only a survivor gets an id,
-    its position in ``matchings``, so a row that dies on its first letter
-    costs no bitset work.  A live row is then one bit in a few ``int``
-    bitsets:
+    entry rule).  ``join`` settles only what that first move decides for
+    good: a class it drops is counted and a total row it accepts is
+    accepted, so neither costs bitset work.  Every other row gets an id,
+    its position in ``matchings``, holding the configurations it had
+    before the move, and the tick of its entry snapshot steps it as any
+    live row; ``_step_groups`` is the only code that steps a row holding an
+    id.  A live row is one bit in a few ``int`` bitsets:
 
     * ``groups`` maps each configuration set to the ids holding it;
     * ``index`` maps each edge to ``{slot bit: ids binding it there}``;
@@ -266,8 +274,9 @@ class _Core:
 
     Moves come from the table ``moves``, keyed by value.  A clockless table
     lives for the whole run; a clocked one is cleared at every tick, since
-    guards and resets read the time (a clocked first move is made at its
-    class's entry time).  On-demand's ``catch_up`` walks each caught-up row
+    guards and resets read the time (the matcher's clocked first move of a
+    class is made at its entry time outside the table, and the tick makes it
+    again).  On-demand's ``catch_up`` walks each caught-up row
     on its own, through the same clockless table; clocked, it keeps one
     table per past snapshot, so no time's moves leak into another.
     """
@@ -282,7 +291,6 @@ class _Core:
         self.accepted: dict[Matching, float] = {}
         # every new row shares this set, as rows share the move table's
         self.seed = frozenset((ta.initial_config(),))
-        self.entering: list[_Entry] = []
         self.matchings: list[Matching] = []
         self.groups: dict[Configs, int] = {}
         self.index: dict[str, dict[int, int]] = {}
@@ -317,9 +325,37 @@ class _Core:
                 entering.setdefault(key[0], []).append((configs, letter, move, rows))
         return entering
 
+    def join(self, classes: Iterable[_Entry], t, joining=None) -> None:
+        """Settle at ``t`` the rows of ``classes`` that their first move drops or
+        accepts, and give the others ids, with ``joining``'s (``configs ->
+        rows``), holding their configurations before it, for the tick to step."""
+        counters, accepted, trace = self.counters, self.accepted, self.trace
+        joining = {} if joining is None else joining
+        for configs, letter, move, rows in classes:
+            if rows.__class__ is int:  # they all die on their first move, never built
+                counters.rows += rows * len(configs)
+                counters.early_rejected += rows
+                continue
+            if move is not None and move[2]:
+                alive = []
+                for m in rows:
+                    if m.is_total():
+                        accepted[m] = t
+                        if trace is not None:
+                            trace.add_row(t, m, letter, move[0], "accepted")
+                    else:
+                        alive.append(m)
+                counters.rows += (len(rows) - len(alive)) * len(configs)
+                rows = alive
+            if rows:
+                joining.setdefault(configs, []).extend(rows)
+        if joining:
+            self._admit(joining)
+            # the new rows have not read the tick's letter; let it step the groups
+            self.resting = None
+
     def tick(self, snap, t) -> None:
-        """Advance every row one letter: the live groups by class; then the
-        entering classes, whose first step the matcher took, enter."""
+        """Advance every live row one letter, by class."""
         if self.ta.n_clocks:  # guards and resets read t
             self.moves.clear()
         if self.groups:
@@ -337,8 +373,6 @@ class _Core:
                     for configs, rows in self.live().items():
                         for m in rows:
                             self.trace.add_row(t, m, 0, configs, "alive")
-        if self.entering:
-            self._enter(t)
 
     def _step_groups(self, hits, t) -> None:
         """Split every live group into letter classes by ``hits``, the index
@@ -399,42 +433,6 @@ class _Core:
         if 2 * live <= len(matchings):
             self._renumber()
 
-    def _enter(self, t) -> None:
-        """Count the entering classes' first step at ``t``; accept, give survivors ids."""
-        counters, accepted, trace = self.counters, self.accepted, self.trace
-        resting = self.resting if self.groups else 0
-        survivors: dict[Configs, list[Matching]] = {}
-        for configs, letter, (nxt, kept, touches_accept, rests), rows in self.entering:
-            if rows.__class__ is int:  # they all died on this move, never built
-                counters.rows += rows * len(configs)
-                counters.early_rejected += rows
-                continue
-            counters.rows += len(rows) * len(configs)
-            if touches_accept:
-                alive = []
-                for m in rows:
-                    if m.is_total():
-                        accepted[m] = t
-                        if trace is not None:
-                            trace.add_row(t, m, letter, nxt, "accepted")
-                    else:
-                        alive.append(m)
-                rows = alive
-            if kept:
-                survivors.setdefault(kept, []).extend(rows)
-                if resting is not None:
-                    resting = resting + len(rows) * len(kept) if rests else None
-                status = "alive"
-            else:
-                counters.early_rejected += len(rows)
-                status = "dropped"
-            if trace is not None:
-                for m in rows:
-                    trace.add_row(t, m, letter, kept, status)
-        self.entering = []
-        self._admit(survivors)
-        self.resting = resting
-
     def _move(self, configs: Configs, letter: int, t: float) -> _Move:
         """Step ``configs`` on ``letter`` at ``t`` and work out what every row
         holding them would check next."""
@@ -477,37 +475,37 @@ class _Core:
         self._admit(live)
 
     def live(self) -> dict[Configs, list[Matching]]:
-        """The live rows by configuration set, entering ones excluded."""
+        """The live rows by configuration set."""
         matchings = self.matchings
         return {
             configs: list(_select(matchings, ids)) for configs, ids in self.groups.items()
         }
 
     def replay(self, entering: dict[int, list[_Entry]], snapshots) -> None:
-        """Enter ``entering[i]`` at ``snapshots[i]`` and step to the last snapshot;
-        ``entering[len(snapshots)]`` is left entering."""
+        """Join ``entering[i]`` at ``snapshots[i]`` and step to the last snapshot;
+        ``entering[len(snapshots)]``, which reads no letter, joins after it."""
         end = len(snapshots)
         for i in range(min(entering, default=end), end):
             if i in entering:
-                self.entering = entering[i]
-            if self.groups or self.entering:
+                self.join(entering[i], snapshots[i][0])
+            if self.groups:
                 t, snap = snapshots[i]
                 self.tick(snap, t)
-        self.entering = entering.get(end, [])
+        self.join(entering.get(end, ()), None)
 
     def catch_up(self, entering: dict[int, list[_Entry]], past, active, t: float) -> None:
         """Walk each row of ``entering`` on its own over ``past`` up to its last,
-        current snapshot, then take the survivors in through ``_admit``.
+        current snapshot, then ``join`` the survivors.
 
         A row walks on from its first move and moves again only at its
         events, the snapshots holding one of its edges, or at every snapshot
         while its configurations do not rest; a resting stretch is counted
         in one addition.  ``active`` maps each edge to the indices in
         ``past`` of the snapshots before the current one that hold it.  Rows
-        entering at the current
-        snapshot stay entering.  Acceptances are stamped ``t``, the discovery
-        time, and a trace gets one ``CatchUpEvent`` per matching, from where
-        its walk ended.
+        entering at the current snapshot join with the survivors, as new rows
+        of its tick.  Acceptances are stamped ``t``, the discovery time, and
+        a trace gets one ``CatchUpEvent`` per matching, from where its walk
+        ended.
         """
         end = len(past) - 1
         counters, accepted, moves = self.counters, self.accepted, self.moves
@@ -554,7 +552,7 @@ class _Core:
 
         survivors: dict[Configs, list[Matching]] = {}
         for e, classes in entering.items():
-            if e == end:
+            if e == end:  # they join as new rows of the current snapshot
                 continue
             for configs, _, move, rows in classes:
                 if rows.__class__ is int:  # they all died on their first move, never built
@@ -566,11 +564,7 @@ class _Core:
                     if (last := walk(m, move, e)) is not None:
                         survivors.setdefault(last, []).append(m)
                         ends[m] = last, None
-        self._admit(survivors)
-        self.entering = entering.get(end, [])
-        # the next tick is on the snapshot holding every survivor's new edge,
-        # so it steps the groups and recounts resting
-        self.resting = None
+        self.join(entering.get(end, ()), t, survivors)
         if self.trace is not None:
             for *_, rows in chain.from_iterable(entering.values()):
                 for m in rows:  # one entering at the current snapshot has read nothing
@@ -582,9 +576,6 @@ class _Core:
         for configs, ids in self.groups.items():
             if any(s in accepting for s, _ in configs):
                 accepted.update(zip(_select(self.matchings, ids & self.total), repeat(t)))
-        for configs, _, _, rows in self.entering:  # entered after the last snapshot
-            if any(s in accepting for s, _ in configs):
-                accepted.update((m, t) for m in rows if m.is_total())
         # accepted matchings are total and distinct, so they sort as they are
         return EngineResult(sorted(accepted.items()), self.counters)
 
@@ -631,7 +622,7 @@ def run_baseline(
     core = _Core(ta, early_exit, trace, defer_start=defer_start)
     snapshots = [(t, g.snapshots[t]) for t in g.domain]
     first = {e: r - 1 for e, r in g.first_rank.items()}
-    # a row entering after the last snapshot reads no letter and waits for finish
+    # a row entering after the last snapshot reads no letter; it joins for finish
     entry = core.entry(first, [*snapshots, (None, frozenset())])
     fate = match_total(g, p, distinct_edges=distinct_edges, entry=entry)
     if trace is not None:
@@ -729,7 +720,7 @@ def run_partial_match(
             entry = (snap, _Fate(core, t=t))
             kw = dict(order=order, distinct_edges=distinct_edges, entry=entry)
             fate = extend(g, p, core.live(), new_edges, **kw)
-            core.entering = list(chain.from_iterable(core.enter(fate, t).values()))
+            core.join(chain.from_iterable(core.enter(fate, t).values()), t)
         core.tick(snap, t)
     return core.finish(t)
 

@@ -1,8 +1,9 @@
 """Fused entry: the matcher's leaf takes each new row's first step.
 
 A row whose first move keeps and accepts nothing is only counted, never
-built as a ``Matching``; a traced run builds and records every row and
-counts exactly what the untraced one does.  The entry cases the leaf
+built as a ``Matching``, and neither it nor a total row its first move
+accepts ever gets an id in the core's table; a traced run builds and
+records every row and counts exactly what the untraced one does.  The entry cases the leaf
 decides are checked against the oracle under every engine option: rows
 binding only never-active edges (they enter after the last snapshot and
 are settled at the end), initial states that are early-accept or
@@ -17,7 +18,16 @@ import time
 import pytest
 
 import tempo_bgp.bgp as bgp_module
-from tempo_bgp import Trace, build_graph, oracle_accepted_matchings, parse_bgp
+import tempo_bgp.engine as engine_module
+from tempo_bgp import (
+    Trace,
+    build_graph,
+    oracle_accepted_matchings,
+    oracle_match,
+    oracle_word,
+    parse_bgp,
+    step,
+)
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.timed_automaton import TimedAutomaton, Transition
 from tempo_bgp.workbench import GenSpec, generate_graph, random_graph, ring_automaton, shape_bgp
@@ -67,6 +77,83 @@ def test_rows_that_die_on_their_first_letter_are_never_built(name, monkeypatch):
     assert vars(traced.counters) == counters
     recorded = {r.matching for r in trace.rows} | {e.matching for e in trace.events}
     assert len(recorded) == counters["generated"] + (name == "partial")
+
+
+# path2: a first letter holding both edges accepts for good, y1 alone drops
+# the row, and y2 alone waits in state 2 for y1, which then accepts
+SETTLES = TimedAutomaton(
+    3,
+    0,
+    [1],
+    0,
+    2,
+    [
+        Transition(0, "00", (), (), 0),
+        Transition(0, "11", (), (), 1),
+        Transition(0, "01", (), (), 2),
+        Transition(1, "**", (), (), 1),
+        Transition(2, "0*", (), (), 2),
+        Transition(2, "1*", (), (), 1),
+    ],
+)
+
+
+def first_move(g, p, ta, m):
+    """The configurations ``m``'s first non-empty letter leads to; None if it has none."""
+    for t, letter in oracle_word(g, p, m):
+        if letter:
+            return step(ta, {ta.initial_config()}, letter, t)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_rows_their_first_move_settles_never_get_an_id(name, monkeypatch):
+    g, p, ta = generate_graph(GenSpec(12, 0.5, 0.3, 20, seed=3)), shape_bgp("path2"), SETTLES
+    assert ta.early_accept == {1} and ta.dead_start
+    if name == "partial":
+        # an extension's first move starts from its source's configurations
+        trace = Trace()
+        ENGINES[name](g, p, ta, trace=trace)
+        firsts = list(first_steps(trace).values())
+        accepted = firsts.count("accepted")
+        settled = accepted + firsts.count("dropped")
+    else:
+        # with deferred starts a row's first move reads its first non-empty
+        # letter; y1 is first active when a y2-first row is found, so its
+        # catch-up stays in state 2
+        matchings = oracle_match(g, p)
+        if name == "on-demand":
+            matchings = [m for m in matchings if all(g.active[e] for e in m.edges)]
+        firsts = [first_move(g, p, ta, m) for m in matchings]
+        accepted = sum(1 in {s for s, _ in nxt} for nxt in firsts if nxt)
+        settled = accepted + sum(nxt == set() for nxt in firsts)
+
+    admitted, renumbering = [0], [False]
+    admit, renumber = engine_module._Core._admit, engine_module._Core._renumber
+
+    def counting_admit(self, rows):
+        if not renumbering[0]:
+            admitted[0] += sum(map(len, rows.values()))
+        return admit(self, rows)
+
+    def uncounted_renumber(self):  # it gives live rows fresh ids, not new rows ids
+        renumbering[0] = True
+        try:
+            renumber(self)
+        finally:
+            renumbering[0] = False
+
+    monkeypatch.setattr(engine_module._Core, "_admit", counting_admit)
+    monkeypatch.setattr(engine_module._Core, "_renumber", uncounted_renumber)
+    res = ENGINES[name](g, p, ta)
+    generated = res.counters.generated
+    if name != "partial":
+        assert generated == len(matchings)
+    assert accepted > 20 and settled - accepted > 20 and generated - settled > 20, (
+        accepted, settled, generated
+    )
+    # partial's empty row gets an id too
+    assert admitted[0] == generated - settled + (name == "partial"), (admitted[0], settled, generated)
 
 
 # -- entry cases against the oracle --------------------------------------------
