@@ -11,14 +11,14 @@ compiled once per process into a function of nested ``for`` loops, one
 per edge variable in binding order (``_plan_source``; ``plan_source``
 shows ``match_total``'s).  Each level's candidate index, and the label,
 self-loop, pool and distinct-edge tests it needs, are fixed when the
-code is written, and the innermost loop builds the ``Matching``: node
-slots are the node variables, then one slot per constant.  Once every
-edge variable is bound, it appends one matching per fill, an assignment
-of the isolated node variables handed to the plan at run time.  The
-matchers return matchings in search order, the same for every hash seed.
-Given an ``entry``, the matchers run fused plans, whose innermost loop
-takes each matching's first automaton step through a fate table the
-caller fills, and never build a matching that dies there.
+code is written.  Every plan is fused with the first automaton step: the
+innermost loop files each matching under its class in a fate table the
+caller fills, and never builds one whose class dies there.  Node slots
+are the node variables, then one slot per constant; once every edge
+variable is bound, one matching is filed per fill, an assignment of the
+isolated node variables handed to the plan at run time.  Without an
+``entry``, every class is one list, and the matchers return matchings in
+search order, the same for every hash seed.
 ``match_total`` binds the edge variables in a connected order grown
 from the first one, so no variable scans the whole graph while a bound
 one could reach it through an endpoint index.  The delta join is
@@ -39,8 +39,9 @@ used by letter bitsets everywhere else in the package.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateIdError, FormatError, ReferentialError
@@ -195,7 +196,7 @@ def _slot_table(p: Bgp) -> tuple[_Slot, ...]:
 # a plan is a pure function of its key, so one cache serves every caller
 _PLANS: dict[tuple, Callable[..., None]] = {}
 _DEPTH = 12  # loops per generated function: Python refuses more than 20 nested blocks
-_HEAD = "g, append, pools, scan, consts, mu, fills, entry"
+_HEAD = "g, pools, scan, consts, mu, fills, entry"
 _CONTEXT = ("g_edges", "g_nodes", "by_src", "by_dst", "by_pair")
 
 
@@ -230,9 +231,8 @@ def _plan_source(
     distinct: bool,
     mode: str,
     bound: tuple[int, ...],
-    fused: bool,
 ) -> str:
-    """Python source of one search, ``_plan0(g, append, pools, scan, consts, mu, fills, entry)``.
+    """Python source of one search, ``_plan0(g, pools, scan, consts, mu, fills, entry)``.
 
     The search binds the edge variables of ``order`` with one nested ``for``
     per variable, level ``i`` taking edges of ``pools[i]`` when ``pooled[i]``.
@@ -241,15 +241,15 @@ def _plan_source(
     every graph edge), which must hold only edges of the level's pool.
     Node slots from ``n`` on are ``consts``; under the extension modes the
     row ``mu`` binds the variables of ``bound`` and their endpoints.  Mode
-    "total" appends each total ``Matching``; "ordered" appends
-    ``(mu, matching)`` after every level; "unordered" lets each level also
-    leave its variable unbound, before binding it, and appends when some
-    level bound.  A matching binding every edge variable is appended once
-    per fill, a tuple of ``fills`` holding the isolated node slots in order.
-    Past ``_DEPTH`` levels the search chains into a further function.
+    "total" emits each total ``Matching``; "ordered" emits after every
+    level; "unordered" lets each level also leave its variable unbound,
+    before binding it, and emits when some level bound.  A matching binding
+    every edge variable is emitted once per fill, a tuple of ``fills``
+    holding the isolated node slots in order.  Past ``_DEPTH`` levels the
+    search chains into a further function.
 
-    A ``fused`` leaf looks the matching's class up in ``fate`` instead: an
-    int counts it, unbuilt, and a list gets it.  Under "total", ``entry`` is
+    Each leaf files the matching under its class in ``fate``: an int
+    counts it, unbuilt, and a list gets it.  Under "total", ``entry`` is
     ``(first, d, snapshots, fate)``; each level folds ``first.get(e, d)``
     into the entry index ``i``, and the class is ``(i, letter)``, the
     letter read in ``snapshots[i][1]``.  Else ``entry`` is ``(configs, S,
@@ -272,8 +272,7 @@ def _plan_source(
     unpack = ["first, d, snapshots, fate = entry", "get = first.get"] if total else [
         "configs, S, fate = entry"
     ]
-    unpack = unpack if fused else []
-    head += unpack + [f"src = {_bits(bound, 'e{} in S')}"] * (fused and not total)
+    head += unpack + [f"src = {_bits(bound, 'e{} in S')}"] * (not total)
     edges = [f"e{j}" if j in bound else "None" for j in range(len(slots))]
     isolated = sorted(set(range(n)).difference(s for slot in slots for s in slot[:2]))
     params: list[str] = []
@@ -286,27 +285,23 @@ def _plan_source(
         nodes = (f"w{s}" if fill and s in isolated else names.get(s, "None") for s in range(n))
         m = f"_new(Matching, ({_tuple(edges)}, {_tuple(nodes)}))"
         loop = [f"for {_tuple(f'w{s}' for s in isolated)} in fills:"] if fill else []
-        if not fused:
-            lines = loop + [f"{'    ' * fill}append({m if total else f'(mu, {m})'})"]
-        else:
-            fold = f"i{len(order) - 1}" if order else "d"
-            lines = [f"S = snapshots[{fold}][1]"] if total else []
-            lines += [
-                f"k = ({fold if total else 'configs'}, {letter})",
-                "b = fate[k]",
-                "if b.__class__ is int:",
-                f"    fate[k] = b + {'len(fills)' if fill else 1}",
-                "else:",
-                *(f"    {line}" for line in loop),
-                f"    {'    ' * fill}b.append({m})",
-            ]
+        fold = f"i{len(order) - 1}" if order else "d"
+        lines = [f"S = snapshots[{fold}][1]"] if total else []
+        lines += [
+            f"k = ({fold if total else 'configs'}, {letter})",
+            "b = fate[k]",
+            "if b.__class__ is int:",
+            f"    fate[k] = b + {'len(fills)' if fill else 1}",
+            "else:",
+            *(f"    {line}" for line in loop),
+            f"    {'    ' * fill}b.append({m})",
+        ]
         return "\n".join(pad + line for line in lines)
 
     for i, j in enumerate(order):
         if i and i % _DEPTH == 0:
             params = [*dict.fromkeys(names.values()), *(e for e in edges if e != "None")]
-            if fused:
-                params.append(f"i{i - 1}" if total else "src")
+            params.append(f"i{i - 1}" if total else "src")
             body.append(f"{pad}_plan{len(funcs)}({_HEAD}, {', '.join(params)})")
             head, body, pad = list(unpack), [], "    "
             funcs.append((params, head, body))
@@ -343,7 +338,7 @@ def _plan_source(
         if checks:
             body.append(f"{inner}if {' or '.join(checks)}:\n{inner}    continue")
         body += [f"{inner}{names[s]} = E.{end}" for s, end, _ in fresh]
-        if fused and total:  # the entry index so far: the earliest first snapshot
+        if total:  # the entry index so far: the earliest first snapshot
             body.append(f"{inner}i{i} = get(e{j}, d)")
             if i:
                 body.append(f"{inner}if i{i - 1} < i{i}:\n{inner}    i{i} = i{i - 1}")
@@ -384,9 +379,8 @@ def plan_source(p: Bgp, order: Sequence[str] | None = None, distinct_edges: bool
     slots = _slot_table(p)
     n = len(p.node_vars)
     indices = _anchored_order(slots, n, 0) if order is None else order_indices(p, order)
-    return _plan_source(
-        slots, n, tuple(indices), (False,) * len(slots), distinct_edges, "total", (), False
-    )
+    pooled = (False,) * len(slots)
+    return _plan_source(slots, n, tuple(indices), pooled, distinct_edges, "total", ())
 
 
 def _fills(g: TemporalGraph, p: Bgp) -> list[tuple[str, ...]]:
@@ -421,20 +415,21 @@ def _total(
     variables in its order, variable ``j`` taking edges of its ``pools[j]``,
     and the first one drawing candidates from ``scan`` (every graph edge
     when ``None``) when neither of its endpoints is a constant.  No two
-    searches may find the same matching.  With ``entry``, the plans are
-    fused and ``entry``'s fate table is returned.
+    searches may find the same matching.  Returns ``entry``'s fate table,
+    or without one the one list every class collects into.
     """
-    for c in p.constants:
-        if c not in g.nodes:
-            return [] if entry is None else entry[-1]
-    results: list[Matching] = []
-    n, fills = len(p.node_vars), _fills(g, p)
-    for order, pools in searches:
-        pooled = tuple(pools[j] is not None for j in order)
-        plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", (), entry is not None)
-        plan(g, results.append, [pools[j] for j in order],
-             g.edges if scan is None else scan, p.constants, None, fills, entry)
-    return results if entry is None else entry[-1]
+    out: list[Matching] = []
+    public = entry is None
+    if public:  # every row enters at one empty snapshot, so every class is (0, 0)
+        entry = ({}, 0, ((None, frozenset()),), defaultdict(lambda: out))
+    if all(c in g.nodes for c in p.constants):
+        n, fills = len(p.node_vars), _fills(g, p)
+        for order, pools in searches:
+            pooled = tuple(pools[j] is not None for j in order)
+            plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", ())
+            plan(g, [pools[j] for j in order], g.edges if scan is None else scan,
+                 p.constants, None, fills, entry)
+    return out if public else entry[-1]
 
 
 def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False, entry=None):
@@ -442,8 +437,8 @@ def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False, entry
 
     Output comes in search order, the same for every hash seed: the first
     variable of the binding order scans the graph's edges in graph order.
-    With ``entry = (first, d, snapshots, fate)`` the search is fused
-    (``_plan_source``) and ``fate`` is returned.
+    With ``entry = (first, d, snapshots, fate)``, matchings are filed by
+    entry class in ``fate`` (``_plan_source``), which is returned.
     """
     slots = _slot_table(p)
     order = _anchored_order(slots, len(p.node_vars), 0)
@@ -503,14 +498,12 @@ def delta_match(
     scan = _graph_order(g, new)
     if any(e in old for e in new):
         raise FormatError("new_edges must be disjoint from old_history")
-    if not new or not p.edge_vars:
-        return [] if entry is None else entry[-1]
     slots = _slot_table(p)
     n, last = len(p.node_vars), len(slots) - 1
-    union = new.union(old) if last else new
+    union = new.union(old) if new and last > 0 else new
     searches = [
         (_anchored_order(slots, n, a), [old] * a + [new] + [union] * (last - a))
-        for a in range(last + 1)
+        for a in range(last + 1 if new else 0)
     ]
     return _total(g, p, slots, distinct_edges, searches, scan, entry)
 
@@ -592,7 +585,8 @@ def extend(
     to each fitting edge, in declaration order.  Variables with both
     endpoints unbound draw from the new edges alone, in graph order.
     With ``entry = (snap, fate)``, ``states_matchings`` maps configuration
-    sets to their rows, the searches are fused and ``fate`` is returned.
+    sets to their rows, and extensions are filed by class in ``fate``
+    (``_plan_source``), which is returned instead of the pairs.
     """
     new = set(new_edges)
     scan = _graph_order(g, new)
@@ -608,10 +602,13 @@ def extend(
     pools, consts, fills = [new] * width, p.constants, _fills(g, p)
     plans: dict[object, Callable[..., None]] = {}
     pairs: list[tuple[Matching, Matching]] = []
-    append = pairs.append
-    groups = [(None, states_matchings)] if entry is None else states_matchings.items()
-    for configs, rows in groups:
-        held = None if entry is None else (configs, *entry)
+    out: list[Matching] = []
+    public = entry is None
+    if public:  # one class per row's extensions: no snapshot, no configurations
+        entry = (frozenset(), defaultdict(lambda: out))
+        states_matchings = {None: states_matchings}
+    for configs, rows in states_matchings.items():
+        held = (configs, *entry)
         for mu in rows:
             if gate is None:
                 todo = [j for j, e in enumerate(mu.edges) if e is None]
@@ -633,8 +630,10 @@ def extend(
                 bound = tuple(j for j in range(width) if j not in todo)
                 mode = "unordered" if gate is None else "ordered"
                 plan = plans[key] = _plan(
-                    slots, n, tuple(todo), (True,) * len(todo), distinct_edges, mode, bound,
-                    entry is not None,
+                    slots, n, tuple(todo), (True,) * len(todo), distinct_edges, mode, bound
                 )
-            plan(g, append, pools, scan, consts, mu, fills, held)
-    return pairs if entry is None else entry[-1]
+            plan(g, pools, scan, consts, mu, fills, held)
+            if public:
+                pairs += zip(repeat(mu), out)
+                out.clear()
+    return pairs if public else entry[-1]
