@@ -227,7 +227,7 @@ def _plan_source(
     slots: tuple[_Slot, ...],
     n: int,
     order: tuple[int, ...],
-    pooled: tuple[bool, ...],
+    pooled: bool,
     distinct: bool,
     mode: str,
     bound: tuple[int, ...],
@@ -235,7 +235,7 @@ def _plan_source(
     """Python source of one search, ``_plan0(g, pools, scan, consts, mu, fills, entry)``.
 
     The search binds the edge variables of ``order`` with one nested ``for``
-    per variable, level ``i`` taking edges of ``pools[i]`` when ``pooled[i]``.
+    per variable, level ``i`` taking edges of ``pools[i]`` when ``pooled``.
     Each level reads the endpoint index its bound endpoints select, else
     ``scan`` (only the first level under ``mode`` "total"; later ones read
     every graph edge), which must hold only edges of the level's pool.
@@ -311,7 +311,7 @@ def _plan_source(
         source = _candidates(a, b, dyn, free)
         ends = [(sa, "src", label_a)] + ([(sb, "dst", label_b)] if sb != sa else [])
         fresh = [end for end in ends if names.get(end[0]) is None or names[end[0]] in dyn]
-        tests = [f"e{j} not in pool{i}"] if pooled[i] and source != "scan" else []
+        tests = [f"e{j} not in pool{i}"] if pooled and source != "scan" else []
         if tests:
             head.append(f"pool{i} = pools[{i}]")
         if distinct:
@@ -379,8 +379,7 @@ def plan_source(p: Bgp, order: Sequence[str] | None = None, distinct_edges: bool
     slots = _slot_table(p)
     n = len(p.node_vars)
     indices = _anchored_order(slots, n, 0) if order is None else order_indices(p, order)
-    pooled = (False,) * len(slots)
-    return _plan_source(slots, n, tuple(indices), pooled, distinct_edges, "total", ())
+    return _plan_source(slots, n, tuple(indices), False, distinct_edges, "total", ())
 
 
 def _fills(g: TemporalGraph, p: Bgp) -> list[tuple[str, ...]]:
@@ -405,18 +404,19 @@ def _total(
     p: Bgp,
     slots: tuple[_Slot, ...],
     distinct_edges: bool,
-    searches: Iterable[tuple[list[int], list[_Pool | None]]],
+    searches: Iterable[tuple[list[int], list[_Pool] | None]],
     scan: Iterable[str] | None,
     entry: tuple | None,
 ):
     """Total matchings found by ``searches`` in search order, isolated node variables filled.
 
     Each search runs one compiled plan (``_plan_source``), binding the edge
-    variables in its order, variable ``j`` taking edges of its ``pools[j]``,
-    and the first one drawing candidates from ``scan`` (every graph edge
-    when ``None``) when neither of its endpoints is a constant.  No two
-    searches may find the same matching.  Returns ``entry``'s fate table,
-    or without one the one list every class collects into.
+    variables in its order, variable ``j`` taking edges of ``pools[j]``
+    (any edge when ``pools`` is None), and the first one drawing candidates
+    from ``scan`` (every graph edge when ``None``) when neither of its
+    endpoints is a constant.  No two searches may find the same matching.
+    Returns ``entry``'s fate table, or without one the one list every class
+    collects into.
     """
     out: list[Matching] = []
     public = entry is None
@@ -425,10 +425,10 @@ def _total(
     if all(c in g.nodes for c in p.constants):
         n, fills = len(p.node_vars), _fills(g, p)
         for order, pools in searches:
-            pooled = tuple(pools[j] is not None for j in order)
+            pooled = pools is not None
             plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", ())
-            plan(g, [pools[j] for j in order], g.edges if scan is None else scan,
-                 p.constants, None, fills, entry)
+            plan(g, [pools[j] for j in order] if pooled else None,
+                 g.edges if scan is None else scan, p.constants, None, fills, entry)
     return out if public else entry[-1]
 
 
@@ -442,7 +442,7 @@ def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False, entry
     """
     slots = _slot_table(p)
     order = _anchored_order(slots, len(p.node_vars), 0)
-    return _total(g, p, slots, distinct_edges, [(order, [None] * len(slots))], None, entry)
+    return _total(g, p, slots, distinct_edges, [(order, None)], None, entry)
 
 
 def _anchored_order(slots: tuple[_Slot, ...], n: int, anchor: int) -> list[int]:
@@ -630,7 +630,7 @@ def extend(
                 bound = tuple(j for j in range(width) if j not in todo)
                 mode = "unordered" if gate is None else "ordered"
                 plan = plans[key] = _plan(
-                    slots, n, tuple(todo), (True,) * len(todo), distinct_edges, mode, bound
+                    slots, n, tuple(todo), True, distinct_edges, mode, bound
                 )
             plan(g, pools, scan, consts, mu, fills, held)
             if public:

@@ -22,8 +22,8 @@ end-of-stream acceptance; the engines differ only in how rows enter:
   every edge variable enters once per fill of its isolated node variables.
 
 A new row's first step is taken inside the matcher's search, which looks
-its class up in a ``_Fate`` table the core fills; a row dying there is
-counted, never built, and a total one it accepts is accepted on entry.
+its class up in a ``_Fate`` table the core fills; a class dying there is
+counted on entry, never built, and a total row it accepts is accepted there.
 Every other new row joins the table holding the configurations it had
 before that letter, and the tick of its entry snapshot steps it with the
 live rows.  Rows are dropped once their configurations empty
@@ -39,13 +39,12 @@ carries many runs in one machine word.  A row that joins the table
 becomes a bit position; rows holding equal configuration sets form
 a group, and an index ``edge -> {slot: rows binding it there}`` splits a
 group into letter classes at every tick.  Each ``(configs, letter)`` class
-moves once, through a move table that maps it to the stepped set, the set
-early exit keeps, whether the stepped set touches an early-accept state
-and whether the kept set rests (lies in ``TimedAutomaton.idle``, where an
-empty letter changes nothing).  Without clocks ``step`` never reads the
-time, so the table lives for the whole run, a lazy subset construction;
-with clocks it is cleared at every tick, so the matcher's first move of
-a class is made apart from it, at the class's entry time.  A tick on
+moves once, through ``_Core.move``: the stepped set, the set early exit
+keeps, whether the stepped set touches an early-accept state and whether
+the kept set rests (lies in ``TimedAutomaton.idle``, where an empty letter
+changes nothing).  Without clocks ``step`` never reads the time, so a move
+is tabled for the whole run, a lazy subset construction; with clocks a
+move holds only at its own timepoint, so it is made afresh.  A tick on
 which no row binds an edge of the snapshot while every group rests only
 counts.  Acceptance stays per row, since a partial matching touching an
 early-accept state is filtered instead.  Tracing changes no step; a
@@ -86,12 +85,12 @@ from .timed_automaton import (
 
 Stream = Iterator[tuple[float, frozenset[str]]]
 Configs = frozenset[Config]
-# a move-table entry: the stepped set, the set early exit keeps, whether the
-# stepped set touches an early-accept state, whether the kept set rests
+# a move: the stepped set, the set early exit keeps, whether the stepped set
+# touches an early-accept state, whether the kept set rests
 _Move = tuple[Configs, Configs, bool, bool]
 # an entering class: its configurations, letter and first move (None when its
-# rows are not stepped), and its rows or, when none is built, their count
-_Entry = tuple[Configs, int, "_Move | None", "list[Matching] | int"]
+# rows are not stepped), and its rows
+_Entry = tuple[Configs, int, "_Move | None", "list[Matching]"]
 
 
 @dataclass
@@ -206,11 +205,12 @@ class _Fate(dict):
     ``snapshots[index]`` with the initial configuration, or ``(configs,
     letter)`` for partial rows entering at ``t``.  Its value is the class's
     rows, or their count when untraced and the first move keeps and accepts
-    nothing.  ``classes`` holds each key's configurations, letter and first
-    move, None when not stepped: the initial state decides, or the entry
-    snapshot's time is None (after the last one).  The first move decides
-    what ``_Core.join`` settles on entry; the tick takes it again for the
-    rows that join the table.
+    nothing; ``_Core.enter`` counts such a class and drops it.  ``classes``
+    holds each key's configurations, letter and first move, None when not
+    stepped: the initial state decides, or the entry snapshot's time is None
+    (after the last one).  The first move decides what ``_Core.join``
+    settles on entry; the tick takes it again for the rows that join the
+    table.
     """
 
     def __init__(self, core: _Core, snapshots=None, t: float | None = None):
@@ -230,11 +230,7 @@ class _Fate(dict):
             configs, t = head, self.t
         else:
             configs, t = core.seed, None if self.decides else self.snapshots[head][0]
-        # a clocked table holds the current tick's moves, which may not be t's
-        moves = {} if core.ta.n_clocks else core.moves
-        move = None if t is None else moves.get((configs, letter))
-        if move is None and t is not None:
-            move = moves[configs, letter] = core._move(configs, letter, t)
+        move = None if t is None else core.move(configs, letter, t)
         self.classes[key] = configs, letter, move
         keep = move is None or core.trace is not None or move[1] or move[2]
         value = self[key] = [] if keep else 0
@@ -246,14 +242,14 @@ class _Core:
     catch-up, end of stream.
 
     New rows arrive stepped once, in the classes of a ``_Fate`` table
-    (``entry`` makes one for baseline and on-demand; ``enter`` applies the
-    entry rule).  ``join`` settles only what that first move decides for
-    good: a class it drops is counted and a total row it accepts is
-    accepted, so neither costs bitset work.  Every other row gets an id,
-    its position in ``matchings``, holding the configurations it had
-    before the move, and the tick of its entry snapshot steps it as any
-    live row; ``_step_groups`` is the only code that steps a row holding an
-    id.  A live row is one bit in a few ``int`` bitsets:
+    (``entry`` makes one for baseline and on-demand).  ``enter`` applies the
+    entry rule and counts the classes that first move drops, never built;
+    ``join`` accepts the total rows it accepts, so neither costs bitset
+    work.  Every other row gets an id, its position in ``matchings``,
+    holding the configurations it had before the move, and the tick of its
+    entry snapshot steps it as any live row; ``_step_groups`` is the only
+    code that steps a row holding an id.  A live row is one bit in a few
+    ``int`` bitsets:
 
     * ``groups`` maps each configuration set to the ids holding it;
     * ``index`` maps each edge to ``{slot bit: ids binding it there}``;
@@ -272,13 +268,12 @@ class _Core:
     ids in ``groups``; the live rows are then renumbered from 0.
     ``_admit`` is the one place a row gets an id.
 
-    Moves come from the table ``moves``, keyed by value.  A clockless table
-    lives for the whole run; a clocked one is cleared at every tick, since
-    guards and resets read the time (the matcher's clocked first move of a
-    class is made at its entry time outside the table, and the tick makes it
-    again).  On-demand's ``catch_up`` walks each caught-up row
-    on its own, through the same clockless table; clocked, it keeps one
-    table per past snapshot, so no time's moves leak into another.
+    ``move`` is the one move lookup, for the matcher's first moves, the
+    tick and on-demand's ``catch_up``, which walks each caught-up row on its
+    own.  A clockless move is kept in ``moves``, keyed by value, for the
+    whole run; a clocked one is made afresh every time, since guards and
+    resets read the time (a class's clocked first move is thus made in the
+    matcher and again by the tick).
     """
 
     def __init__(self, ta, early_exit, trace, defer_start=False):
@@ -309,13 +304,19 @@ class _Core:
 
     def enter(self, fate: _Fate, t: float) -> dict[object, list[_Entry]]:
         """The entry rule on ``fate``'s classes, counted into ``generated``:
-        settle them at ``t`` if the initial state decides, else map each key's
-        head (an entry index, or partial's configurations) to its classes."""
+        count and drop those never built, settle the others at ``t`` if the
+        initial state decides, else map each key's head (an entry index, or
+        partial's configurations) to its classes."""
         counters, accepted, entering = self.counters, self.accepted, {}
         accepts = self.ta.initial in self.ta.early_accept
         for key, rows in fate.items():
-            counters.generated += rows if rows.__class__ is int else len(rows)
             configs, letter, move = fate.classes[key]
+            if rows.__class__ is int:  # they all die on their first move, never built
+                counters.generated += rows
+                counters.rows += rows * len(configs)
+                counters.early_rejected += rows
+                continue
+            counters.generated += len(rows)
             if fate.decides:
                 if accepts:
                     accepted.update(zip(rows, repeat(t)))
@@ -326,16 +327,12 @@ class _Core:
         return entering
 
     def join(self, classes: Iterable[_Entry], t, joining=None) -> None:
-        """Settle at ``t`` the rows of ``classes`` that their first move drops or
-        accepts, and give the others ids, with ``joining``'s (``configs ->
-        rows``), holding their configurations before it, for the tick to step."""
+        """Accept at ``t`` the rows of ``classes`` that their first move accepts,
+        and give the others ids, with ``joining``'s (``configs -> rows``),
+        holding their configurations before it, for the tick to step."""
         counters, accepted, trace = self.counters, self.accepted, self.trace
         joining = {} if joining is None else joining
         for configs, letter, move, rows in classes:
-            if rows.__class__ is int:  # they all die on their first move, never built
-                counters.rows += rows * len(configs)
-                counters.early_rejected += rows
-                continue
             if move is not None and move[2]:
                 alive = []
                 for m in rows:
@@ -356,8 +353,6 @@ class _Core:
 
     def tick(self, snap, t) -> None:
         """Advance every live row one letter, by class."""
-        if self.ta.n_clocks:  # guards and resets read t
-            self.moves.clear()
         if self.groups:
             index = self.index
             # iterate the smaller side: the index is often far smaller than a snapshot
@@ -381,7 +376,7 @@ class _Core:
         for slots in hits:
             for bit, ids in slots.items():
                 masks[bit] = masks.get(bit, 0) | ids
-        accepted, trace, moves, matchings = self.accepted, self.trace, self.moves, self.matchings
+        accepted, trace, move_of, matchings = self.accepted, self.trace, self.move, self.matchings
         groups: dict[Configs, int] = {}
         resting: int | None = 0
         stepped = rejected = live = 0
@@ -400,10 +395,7 @@ class _Core:
                             split.append((letter, cls))
                     classes = split
             for letter, cls in classes:
-                move = moves.get((configs, letter))
-                if move is None:
-                    move = moves[configs, letter] = self._move(configs, letter, t)
-                nxt, kept, touches_accept, rests = move
+                nxt, kept, touches_accept, rests = move_of(configs, letter, t)
                 n = cls.bit_count()
                 stepped += n * len(configs)
                 if touches_accept and (won := cls & self.total):
@@ -433,6 +425,17 @@ class _Core:
         if 2 * live <= len(matchings):
             self._renumber()
 
+    def move(self, configs: Configs, letter: int, t: float) -> _Move:
+        """The move of ``configs`` on ``letter`` at ``t``: a clockless one from
+        the run's table ``moves``, a clocked one made afresh, since guards and
+        resets read the time."""
+        if self.ta.n_clocks:
+            return self._move(configs, letter, t)
+        move = self.moves.get((configs, letter))
+        if move is None:
+            move = self.moves[configs, letter] = self._move(configs, letter, t)
+        return move
+
     def _move(self, configs: Configs, letter: int, t: float) -> _Move:
         """Step ``configs`` on ``letter`` at ``t`` and work out what every row
         holding them would check next."""
@@ -450,8 +453,6 @@ class _Core:
         the caller keeps ``resting``."""
         matchings, groups, index = self.matchings, self.groups, self.index
         for configs, batch in rows.items():
-            if not batch:
-                continue
             bit = 1 << len(matchings)
             groups[configs] = groups.get(configs, 0) | (bit << len(batch)) - bit
             matchings.extend(batch)
@@ -508,9 +509,7 @@ class _Core:
         ended.
         """
         end = len(past) - 1
-        counters, accepted, moves = self.counters, self.accepted, self.moves
-        clocked = self.ta.n_clocks
-        tables: dict[int, dict] = {}  # clocked: snapshot index -> the moves at its time
+        counters, accepted, move_of = self.counters, self.accepted, self.move
         ends: dict[Matching, tuple[Configs, float | None]] = {}  # where each walk ended
 
         def walk(m, move, i) -> Configs | None:
@@ -543,11 +542,7 @@ class _Core:
                     i = event
                 if i == end:
                     return configs
-                read = letter if i == event else 0
-                table = tables.setdefault(i, {}) if clocked else moves
-                move = table.get((configs, read))
-                if move is None:
-                    move = table[configs, read] = self._move(configs, read, past[i][0])
+                move = move_of(configs, letter if i == event else 0, past[i][0])
                 counters.rows += len(configs)
 
         survivors: dict[Configs, list[Matching]] = {}
@@ -555,10 +550,6 @@ class _Core:
             if e == end:  # they join as new rows of the current snapshot
                 continue
             for configs, _, move, rows in classes:
-                if rows.__class__ is int:  # they all died on their first move, never built
-                    counters.rows += rows * len(configs)
-                    counters.early_rejected += rows
-                    continue
                 counters.rows += len(rows) * len(configs)
                 for m in rows:
                     if (last := walk(m, move, e)) is not None:

@@ -1,10 +1,11 @@
-"""The move table: the stepping core steps each distinct (configurations, letter) once.
+"""Moves: the stepping core steps each distinct (configurations, letter) once.
 
-``_Core`` keeps one table ``(configs, letter) -> move`` for every class of
-rows it steps, and reads a live row's letter from per-slot bitsets, never
-row by row.  A clockless table lives for the whole run; a clocked one holds
-one tick's moves only, since guards and resets read the time.  What a
-move cannot know stays per row: a partial matching touching an
+``_Core.move`` is the one move lookup for every class of rows the core
+steps, and a live row's letter is read from per-slot bitsets, never row by
+row.  A clockless move is kept in the table ``(configs, letter) -> move``
+for the whole run; a clocked one holds only at its own timepoint, since
+guards and resets read the time, so it is made afresh and never kept.
+What a move cannot know stays per row: a partial matching touching an
 early-accept state is filtered, never accepted.
 """
 
@@ -86,6 +87,37 @@ def test_letters_are_read_once_per_entering_row(name, traced, monkeypatch):
 # -- the table's scope --------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize(
+    "spec, shape, automaton",
+    [
+        (GenSpec(10, 0.5, 0.3, 100, seed=7), "path2", "ta7"),  # one clock
+        (GenSpec(12, 0.5, 0.5, 15, seed=1), "cycle4", "ta0_m4"),  # clockless
+    ],
+    ids=["clocked", "clockless"],
+)
+def test_only_clockless_moves_are_tabled(name, spec, shape, automaton, monkeypatch):
+    g, p, ta = generate_graph(spec), shape_bgp(shape), load_ta(automaton)
+    cores, calls = [], [0]
+
+    def counting_step(*args):
+        calls[0] += 1
+        return step(*args)
+
+    class FinishedCore(engine_module._Core):
+        def finish(self, t):
+            cores.append(self)
+            return super().finish(t)
+
+    monkeypatch.setattr(engine_module, "step", counting_step)
+    monkeypatch.setattr(engine_module, "_Core", FinishedCore)
+    ENGINES[name](g, p, ta)
+    [core] = cores
+    assert calls[0] > 0
+    # a clockless move is made once and kept; a clocked one is never kept
+    assert len(core.moves) == (0 if ta.n_clocks else calls[0]), (len(core.moves), calls[0])
+
+
 # one edge variable: a second activation within 2 units of the first
 # accepts, a later one kills the run
 WITHIN2 = TimedAutomaton(
@@ -147,7 +179,8 @@ Y1_WITHIN2 = TimedAutomaton(
 # y1 is e1 or e3 (both a -> b, first active at t=1), y2 is e2 or e4.  The
 # main core steps (e1, e2) from {(1, (1.0,))} on letter 01 at t=4 and
 # drops it; at t=5 e4 arrives and the catch-up walk steps (e3, e4) from
-# the same set on the same letter at t=2, which accepts
+# the same set on the same letter at t=2, which accepts: the move made at
+# t=4 must not stand for the one at t=2
 Y1_WITHIN2_GRAPH = {
     "nodes": {"a": "n", "b": "n", "c": "n"},
     "edges": {
@@ -161,7 +194,7 @@ Y1_WITHIN2_GRAPH = {
 
 
 @pytest.mark.parametrize("early_exit", [True, False])
-def test_catch_up_and_the_main_core_share_one_clocked_table(early_exit):
+def test_catch_up_does_not_reuse_the_main_cores_clocked_move(early_exit):
     g, p = build_graph(**Y1_WITHIN2_GRAPH), shape_bgp("path2")
     trace = Trace()
     res = run_on_demand(g, p, Y1_WITHIN2, early_exit=early_exit, trace=trace)
