@@ -42,11 +42,13 @@ group into letter classes at every tick.  Each ``(configs, letter)`` class
 moves once, through ``_Core.move``: the stepped set, the set early exit
 keeps, whether the stepped set touches an early-accept state and whether
 the kept set rests (lies in ``TimedAutomaton.idle``, where an empty letter
-changes nothing).  Without clocks ``step`` never reads the time, so a move
-is tabled for the whole run, a lazy subset construction; with clocks a
-move holds only at its own timepoint, so it is made afresh.  A tick on
-which no row binds an edge of the snapshot while every group rests only
-counts.  Acceptance stays per row, since a partial matching touching an
+changes nothing).  A move whose states enable no guarded or resetting
+transition on its letter (``TimedAutomaton.reads_clock``) does not read
+the time, so it is tabled for the whole run, a lazy subset construction;
+any other move holds only at its own timepoint, so it is made afresh.  A
+clockless automaton's moves are thus all tabled.  A tick on which no row
+binds an edge of the snapshot while every group rests only counts.
+Acceptance stays per row, since a partial matching touching an
 early-accept state is filtered instead.  Tracing changes no step; a
 traced run also builds the rows that die on their first letter, and they
 join the table so that the tick records them.
@@ -270,10 +272,10 @@ class _Core:
 
     ``move`` is the one move lookup, for the matcher's first moves, the
     tick and on-demand's ``catch_up``, which walks each caught-up row on its
-    own.  A clockless move is kept in ``moves``, keyed by value, for the
-    whole run; a clocked one is made afresh every time, since guards and
-    resets read the time (a class's clocked first move is thus made in the
-    matcher and again by the tick).
+    own.  A move that reads no clock is kept in ``moves``, keyed by value,
+    for the whole run; one that reads a clock is made afresh every time,
+    since guards and resets read the time (a class's first move is thus
+    made in the matcher and again by the tick only when it reads a clock).
     """
 
     def __init__(self, ta, early_exit, trace, defer_start=False):
@@ -426,14 +428,19 @@ class _Core:
             self._renumber()
 
     def move(self, configs: Configs, letter: int, t: float) -> _Move:
-        """The move of ``configs`` on ``letter`` at ``t``: a clockless one from
-        the run's table ``moves``, a clocked one made afresh, since guards and
-        resets read the time."""
-        if self.ta.n_clocks:
-            return self._move(configs, letter, t)
+        """The move of ``configs`` on ``letter`` at ``t``, from the run's table
+        ``moves`` when it is there.  A move made afresh is tabled unless one
+        of its states reads a clock on ``letter``: a guard or a reset reads
+        the time, so such a move holds only at ``t``."""
         move = self.moves.get((configs, letter))
         if move is None:
-            move = self.moves[configs, letter] = self._move(configs, letter, t)
+            move = self._move(configs, letter, t)
+            reads_clock = self.ta.reads_clock  # the step just made filled every entry
+            for s, _ in configs:
+                if reads_clock[s, letter]:
+                    break
+            else:
+                self.moves[configs, letter] = move
         return move
 
     def _move(self, configs: Configs, letter: int, t: float) -> _Move:
@@ -509,8 +516,7 @@ class _Core:
         ended.
         """
         end = len(past) - 1
-        counters, accepted, move_of = self.counters, self.accepted, self.move
-        ends: dict[Matching, tuple[Configs, float | None]] = {}  # where each walk ended
+        counters, accepted, move_of, trace = self.counters, self.accepted, self.move, self.trace
 
         def walk(m, move, i) -> Configs | None:
             """Walk ``m`` on from its ``move`` at ``past[i]`` to the current
@@ -521,11 +527,13 @@ class _Core:
                 nxt, kept, touches_accept, rests = move
                 if touches_accept:  # a caught-up row is total
                     accepted[m] = t
-                    ends[m] = nxt, None
+                    if trace is not None:
+                        trace.add_event(m, t, nxt, None)
                     return None
                 if not kept:
                     counters.early_rejected += 1
-                    ends[m] = kept, past[i][0]
+                    if trace is not None:
+                        trace.add_event(m, t, kept, past[i][0])
                     return None
                 configs, i = kept, i + 1
                 if event < i:
@@ -541,25 +549,25 @@ class _Core:
                     counters.rows += len(configs) * (event - i)
                     i = event
                 if i == end:
+                    if trace is not None:
+                        trace.add_event(m, t, configs, None)
                     return configs
                 move = move_of(configs, letter if i == event else 0, past[i][0])
                 counters.rows += len(configs)
 
         survivors: dict[Configs, list[Matching]] = {}
         for e, classes in entering.items():
-            if e == end:  # they join as new rows of the current snapshot
-                continue
             for configs, _, move, rows in classes:
+                if e == end:  # they join as new rows of the current snapshot, having read nothing
+                    if trace is not None:
+                        for m in rows:
+                            trace.add_event(m, t, configs, None)
+                    continue
                 counters.rows += len(rows) * len(configs)
                 for m in rows:
                     if (last := walk(m, move, e)) is not None:
                         survivors.setdefault(last, []).append(m)
-                        ends[m] = last, None
         self.join(entering.get(end, ()), t, survivors)
-        if self.trace is not None:
-            for *_, rows in chain.from_iterable(entering.values()):
-                for m in rows:  # one entering at the current snapshot has read nothing
-                    self.trace.add_event(m, t, *ends.get(m, (self.seed, None)))
 
     def finish(self, t: float) -> EngineResult:
         """End of stream: rows holding an accepting configuration are accepted at ``t``."""

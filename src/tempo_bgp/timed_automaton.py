@@ -11,7 +11,9 @@ value of clock ``c`` at time ``t`` is ``t - last_reset[c]``.
 Each pattern is compiled once, at construction, into a ``(mask, value)``
 cube grouped by source state.  Discrete moves are read from one move
 table, ``(state, letter) -> transitions``, filled on first use, so wide
-automata never enumerate their letters.
+automata never enumerate their letters.  Each entry is marked by whether
+it reads a clock: a move whose enabled transitions carry no guard and no
+reset does not depend on the time.
 
 Letter predicates that are not a single cube (XOR and friends) are spelled
 as several transition rows, one per pattern, exactly as in the relational
@@ -76,8 +78,10 @@ class TimedAutomaton:
     every letter with a guard-free transition, so no run from there can die
     or end badly.  ``early_reject`` holds states from which no accepting
     state is even optimistically reachable.  Both are therefore sound
-    under-approximations.  ``idle`` holds the states whose moves on the
-    all-zero letter exist and are all guard-free, reset-free self-loops: an
+    under-approximations.  ``reads_clock`` marks each filled entry of the
+    move table, ``(state, letter) -> bool``, by whether one of its
+    transitions has a guard or a reset.  ``idle`` holds the states whose
+    moves on the all-zero letter exist, read no clock and are self-loops: an
     empty letter leaves a configuration there unchanged, clocks included,
     so runs resting in idle states may skip empty letters.  ``dead_start``
     is set when the initial state is idle, making idle prefixes skippable.
@@ -104,15 +108,17 @@ class TimedAutomaton:
         self._cubes: list[list[tuple[int, int, Transition]]] = [[] for _ in range(n_states)]
         for tr in self.transitions:
             self._cubes[tr.src].append((*_pattern_mask_value(tr.pattern), tr))
-        # the move table, filled by transitions_from
+        # the move table and its marks, filled together by transitions_from
         self._moves: dict[tuple[int, int], tuple[Transition, ...]] = {}
+        self.reads_clock: dict[tuple[int, int], bool] = {}
 
         self.early_accept, self.early_reject = classify_states(self)
         self.idle = frozenset(
             s
             for s in range(n_states)
             if (zero := self.transitions_from(s, 0))
-            and all(tr.dst == s and not tr.guard and not tr.resets for tr in zero)
+            and not self.reads_clock[s, 0]
+            and all(tr.dst == s for tr in zero)
         )
         self.dead_start = initial in self.idle
 
@@ -141,11 +147,17 @@ class TimedAutomaton:
                     raise FormatError(f"reset references unknown clock {clock}")
 
     def transitions_from(self, state: int, letter: int) -> tuple[Transition, ...]:
-        """The transitions ``state`` enables on ``letter``, in declaration order."""
+        """The transitions ``state`` enables on ``letter``, in declaration order.
+
+        A first call also fills ``reads_clock[state, letter]``: whether one of
+        them has a guard or a reset, that is, whether a move from ``state``
+        on ``letter`` reads the time.
+        """
         moves = self._moves.get((state, letter))
         if moves is None:
             moves = tuple(tr for mask, value, tr in self._cubes[state] if letter & mask == value)
             self._moves[state, letter] = moves
+            self.reads_clock[state, letter] = any(tr.guard or tr.resets for tr in moves)
         return moves
 
     def initial_config(self) -> Config:
@@ -434,12 +446,15 @@ def _search_order(p: Bgp, ta: TimedAutomaton) -> tuple[str, ...] | None:
     """The first order, in ``itertools.permutations`` order, that is connected
     and ``Compatible``; ``None`` when there is none.
 
-    Each ordered pair's verdict is computed once.  Prefixes grow depth-first
-    in declaration order; a prefix is cut as soon as it is disconnected or
-    one of its variables may not precede a variable still to be placed, so
-    every pair of a complete order was checked when its earlier side was
-    placed.
+    Disconnected edge variables have no connected order, which one linear
+    walk over their endpoints tells.  Otherwise each ordered pair's verdict
+    is computed once.  Prefixes grow depth-first in declaration order; a
+    prefix is cut as soon as it is disconnected or one of its variables may
+    not precede a variable still to be placed, so every pair of a complete
+    order was checked when its earlier side was placed.
     """
+    if not _edge_vars_connected(p):
+        return None
     n = len(p.edge_vars)
     precedes = [
         [j == k or _pair_compatibility(ta, j, k) is Compatibility.COMPATIBLE for k in range(n)]
@@ -463,3 +478,23 @@ def _search_order(p: Bgp, ta: TimedAutomaton) -> tuple[str, ...] | None:
         return False
 
     return tuple(p.edge_vars[k] for k in order) if grow(frozenset(), list(range(n))) else None
+
+
+def _edge_vars_connected(p: Bgp) -> bool:
+    """Whether the edge variables are connected, in ``_joins``' sense: over
+    shared endpoints, undirected, with constants counting as vertices."""
+    near: dict[str, list[str]] = {}  # endpoint -> the other end of each edge variable at it
+    for y in p.edge_vars:
+        a, b = p.rho[y]
+        near.setdefault(a, []).append(b)
+        near.setdefault(b, []).append(a)
+    if not near:
+        return True
+    start = next(iter(near))
+    seen, stack = {start}, [start]
+    while stack:
+        for v in near[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(near)

@@ -2,9 +2,11 @@
 
 ``_Core.move`` is the one move lookup for every class of rows the core
 steps, and a live row's letter is read from per-slot bitsets, never row by
-row.  A clockless move is kept in the table ``(configs, letter) -> move``
-for the whole run; a clocked one holds only at its own timepoint, since
-guards and resets read the time, so it is made afresh and never kept.
+row.  A move that reads no clock is kept in the table ``(configs, letter)
+-> move`` for the whole run, clocked automaton or not; one whose states
+enable a guarded or resetting transition on its letter holds only at its
+own timepoint, since guards and resets read the time, so it is made afresh
+and never kept.
 What a move cannot know stays per row: a partial matching touching an
 early-accept state is filtered, never accepted.
 """
@@ -96,13 +98,13 @@ def test_letters_are_read_once_per_entering_row(name, traced, monkeypatch):
     ],
     ids=["clocked", "clockless"],
 )
-def test_only_clockless_moves_are_tabled(name, spec, shape, automaton, monkeypatch):
+def test_a_move_is_tabled_exactly_when_it_reads_no_clock(name, spec, shape, automaton, monkeypatch):
     g, p, ta = generate_graph(spec), shape_bgp(shape), load_ta(automaton)
-    cores, calls = [], [0]
+    cores, made = [], []  # made: the (configs, letter) of every move made afresh
 
-    def counting_step(*args):
-        calls[0] += 1
-        return step(*args)
+    def counting_step(ta, configs, letter, t):
+        made.append((configs, letter))
+        return step(ta, configs, letter, t)
 
     class FinishedCore(engine_module._Core):
         def finish(self, t):
@@ -113,9 +115,19 @@ def test_only_clockless_moves_are_tabled(name, spec, shape, automaton, monkeypat
     monkeypatch.setattr(engine_module, "_Core", FinishedCore)
     ENGINES[name](g, p, ta)
     [core] = cores
-    assert calls[0] > 0
-    # a clockless move is made once and kept; a clocked one is never kept
-    assert len(core.moves) == (0 if ta.n_clocks else calls[0]), (len(core.moves), calls[0])
+    assert made
+    timeless = [
+        (configs, letter)
+        for configs, letter in made
+        if not any(ta.reads_clock[s, letter] for s, _ in configs)
+    ]
+    # a move that reads no clock is made once and kept; one that does is never kept
+    assert len(timeless) == len(set(timeless)) == len(core.moves), (len(timeless), len(core.moves))
+    assert set(timeless) == set(core.moves)
+    if ta.n_clocks:
+        assert core.moves and len(made) > len(core.moves), (len(made), len(core.moves))
+    else:
+        assert len(core.moves) == len(made), (len(core.moves), len(made))
 
 
 # one edge variable: a second activation within 2 units of the first

@@ -165,13 +165,13 @@ def test_parking_changes_no_result_or_counter(graph, automaton):
                             distinct_edges=distinct_edges,
                         )
                         case = (shape, name, kw)
-                        parked = engine(g, p, ta, **kw)
+                        untraced = engine(g, p, ta, **kw)
                         traced = engine(g, p, ta, trace=Trace(), **kw)
-                        assert outcome(parked) == outcome(traced), case
+                        assert outcome(untraced) == outcome(traced), case
                         expect = want if name == "baseline" else streamed
-                        assert parked.accepted_set == expect, case
+                        assert untraced.accepted_set == expect, case
                         if name == "baseline" and not early_exit and not defer_start:
-                            c = parked.counters
+                            c = untraced.counters
                             assert (c.rows, c.generated, c.early_rejected) == stepped_all, case
 
 

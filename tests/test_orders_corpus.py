@@ -8,6 +8,7 @@ only ever materializing prefix-shaped rows.
 
 from __future__ import annotations
 
+import time
 from itertools import permutations
 
 import pytest
@@ -17,12 +18,13 @@ from tempo_bgp import (
     Trace,
     is_compatible_order,
     is_connected_order,
+    parse_bgp,
     run_baseline,
     run_partial_match,
 )
 from tempo_bgp.fixtures import fixture_path, load_bgp
 from tempo_bgp.rng import SplitMix64
-from tempo_bgp.timed_automaton import _search_order, order_indices
+from tempo_bgp.timed_automaton import TimedAutomaton, Transition, _search_order, order_indices
 from tempo_bgp.workbench import random_graph, shape_bgp
 
 from test_automaton_cubes import random_automaton
@@ -92,3 +94,35 @@ def test_pruned_search_finds_the_permutation_loops_order(ta):
             assert _search_order(p, a) == order, (p_name, a_name)
             checked.add(order is None)
     assert checked == {True, False}  # both found orders and refusals
+
+
+def star_and_one(width: int, lone: str) -> str:
+    """A star of ``width - 1`` edge variables around the constant ``hub``,
+    plus one edge variable ``lone -> z``."""
+    lines = ["const hub", "node z", *(f"node x{i}" for i in range(1, width))]
+    lines += [f"edge y{i} : hub -> x{i}" for i in range(1, width)]
+    if lone != "hub":
+        lines.append(f"node {lone}")
+    return "\n".join([*lines, f"edge y{width} : {lone} -> z", ""])
+
+
+def test_search_refuses_disconnected_edge_variables_at_once():
+    # every letter is all-zero or all-one, so every first appearance
+    # coincides and every pair is Compatible both ways: only connectivity
+    # rules an order out, and a search over connected prefixes of the star
+    # alone would try them all
+    width = 12
+    a = TimedAutomaton(
+        1,
+        0,
+        [0],
+        0,
+        width,
+        [Transition(0, "0" * width, (), (), 0), Transition(0, "1" * width, (), (), 0)],
+    )
+    started = time.perf_counter()
+    assert _search_order(parse_bgp(star_and_one(width, "w")), a) is None
+    assert time.perf_counter() - started < 1.0
+    # a constant counts as a vertex: the lone edge at the hub joins the star
+    joined = parse_bgp(star_and_one(width, "hub"))
+    assert _search_order(joined, a) == joined.edge_vars

@@ -18,6 +18,7 @@ from tempo_bgp import (
 )
 from tempo_bgp.timed_automaton import TimedAutomaton, Transition
 from tempo_bgp.workbench import shape_bgp
+from test_engine_parking import random_clocked_automaton, reference_idle
 
 
 def word_of(interactions, bgp, shape, edges):
@@ -95,6 +96,28 @@ def letter_admitted(patterns, letter):
     """Whether a one-state automaton with one self-loop per pattern moves on ``letter``."""
     loops = [Transition(0, pattern, (), (), 0) for pattern in patterns]
     return bool(TimedAutomaton(1, 0, [0], 0, len(patterns[0]), loops).transitions_from(0, letter))
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 30))
+def test_reads_clock_marks_the_moves_a_guard_or_reset_reads(seed):
+    # the marks fill with the move table, never ahead of it
+    marked = 0
+    for ta in (random_clocked_automaton(s) for s in range(seed, seed + 30)):
+        assert ta.reads_clock.keys() == ta._moves.keys()
+        assert ta.idle == reference_idle(ta)
+        for state in range(ta.n_states):
+            for letter in range(1 << ta.width):
+                enabled = [
+                    tr
+                    for tr in ta.transitions
+                    if tr.src == state and letter_admitted([tr.pattern], letter)
+                ]
+                assert ta.transitions_from(state, letter) == tuple(enabled)
+                want = any(tr.guard or tr.resets for tr in enabled)
+                assert ta.reads_clock[state, letter] == want, (seed, state, letter)
+                marked += want
+        assert ta.reads_clock.keys() == ta._moves.keys()
+    assert marked > 0
 
 
 VALID = "states 2\ninitial 0\naccepting 0\nclocks 1\ntrans 0 00 c0<3 0 1\n"
