@@ -228,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "search the orders depth-first, cutting a prefix once it is disconnected or"
-            " places a variable that may not precede one still to place; print the"
-            " first connected, Compatible order, or NO"
+            " places a variable that may not precede one still to place, and never"
+            " searching again a set of variables still to place that failed once;"
+            " print the first connected, Compatible order, or NO"
         ),
     )
     sp.set_defaults(fn=cmd_check_order)
