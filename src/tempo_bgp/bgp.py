@@ -11,14 +11,19 @@ compiled once per process into a function of nested ``for`` loops, one
 per edge variable in binding order (``_plan_source``; ``plan_source``
 shows ``match_total``'s).  Each level's candidate index, and the label,
 self-loop, pool and distinct-edge tests it needs, are fixed when the
-code is written.  Every plan is fused with the first automaton step: the
-innermost loop files each matching under its class in a fate table the
-caller fills, and never builds one whose class dies there.  Node slots
-are the node variables, then one slot per constant; once every edge
-variable is bound, one matching is filed per fill, an assignment of the
-isolated node variables handed to the plan at run time.  Without an
-``entry``, every class is one list, and the matchers return matchings in
-search order, the same for every hash seed.
+code is written.  A level that follows one bound endpoint takes the far
+one from the index's ``(edge, far endpoint)`` pairs.  In the total and
+delta joins, a level that binds both ends of a later variable looks
+that variable up in ``by_pair`` at once and backtracks when the lookup
+is empty (the lookahead of Leapfrog Triejoin, Veldhuizen 2014), so no
+prefix is grown that cannot close.  Every plan is fused with the first
+automaton step: the innermost loop files each matching under its class
+in a fate table the caller fills, and never builds one whose class dies
+there.  Node slots are the node variables, then one slot per constant;
+once every edge variable is bound, one matching is filed per fill, an
+assignment of the isolated node variables handed to the plan at run
+time.  Without an ``entry``, every class is one list, and the matchers
+return matchings in search order, the same for every hash seed.
 ``match_total`` binds the edge variables in a connected order grown
 from the first one, so no variable scans the whole graph while a bound
 one could reach it through an endpoint index.  The delta join is
@@ -30,8 +35,8 @@ slot.  ``extend`` is the one producer of partial matchings.  Its reach
 gate tests each row once against the endpoints of the new edges, so a
 row that no new edge can extend yields nothing and is never searched
 (under an order the test is a table lookup and at most one set test);
-each row that passes runs the plan of its bound variables, and variables
-with both endpoints unbound draw only from the new edges.  The
+each row that passes runs the plan of its bound variables, which reads
+only an endpoint index of the new edges built once per call.  The
 declaration order of the edge variables is also the canonical bit order
 used by letter bitsets everywhere else in the package.
 """
@@ -42,10 +47,11 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateIdError, FormatError, ReferentialError
-from .temporal_graph import TemporalGraph
+from .temporal_graph import TemporalGraph, endpoint_index
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -196,8 +202,11 @@ def _slot_table(p: Bgp) -> tuple[_Slot, ...]:
 # a plan is a pure function of its key, so one cache serves every caller
 _PLANS: dict[tuple, Callable[..., None]] = {}
 _DEPTH = 12  # loops per generated function: Python refuses more than 20 nested blocks
-_HEAD = "g, pools, scan, consts, mu, fills, entry"
-_CONTEXT = ("g_edges", "g_nodes", "by_src", "by_dst", "by_pair")
+_HEAD = "g, index, pools, scan, consts, mu, fills, entry"
+_CONTEXT = {
+    "g_edges": "g.edges", "g_nodes": "g.nodes",
+    "by_src": "index[0]", "by_dst": "index[1]", "by_pair": "index[2]",
+}
 
 
 def _tuple(items: Iterable[str]) -> str:
@@ -205,17 +214,21 @@ def _tuple(items: Iterable[str]) -> str:
     return f"({', '.join(items)}{',' * (len(items) == 1)})"
 
 
-def _candidates(a: str | None, b: str | None, dyn: set[str], free: str) -> str:
-    """The candidate edges of a variable whose endpoints are held in locals
-    ``a`` and ``b`` (``None``: unbound), each local of ``dyn`` maybe ``None``."""
+def _candidates(a: str | None, b: str | None, dyn: set[str]) -> str:
+    """The candidate edges of an unordered level whose endpoints are held in
+    locals ``a`` and ``b`` (``None``: unbound), each local of ``dyn`` maybe
+    ``None``; an index of ``(edge, far endpoint)`` pairs is stripped to edges."""
     for x in (a, b):
         if x in dyn:
-            bound = _candidates(a, b, dyn - {x}, free)
-            unbound = _candidates(*(None if y == x else y for y in (a, b)), dyn - {x}, free)
+            bound = _candidates(a, b, dyn - {x})
+            unbound = _candidates(*(None if y == x else y for y in (a, b)), dyn - {x})
             return f"({bound} if {x} is not None else {unbound})"
-    if a is not None:
-        return f"by_pair.get(({a}, {b}), ())" if b is not None else f"by_src.get({a}, ())"
-    return f"by_dst.get({b}, ())" if b is not None else free
+    if a is not None and b is not None:
+        return f"by_pair.get(({a}, {b}), ())"
+    if a is None and b is None:
+        return "scan"
+    index, end = ("by_src", a) if a is not None else ("by_dst", b)
+    return f"map(_first, {index}.get({end}, ()))"
 
 
 def _bits(js: Iterable[int], test: str) -> str:
@@ -232,21 +245,27 @@ def _plan_source(
     mode: str,
     bound: tuple[int, ...],
 ) -> str:
-    """Python source of one search, ``_plan0(g, pools, scan, consts, mu, fills, entry)``.
+    """Python source of one search, ``_plan0(g, index, pools, scan, consts, mu, fills, entry)``.
 
     The search binds the edge variables of ``order`` with one nested ``for``
     per variable, level ``i`` taking edges of ``pools[i]`` when ``pooled``.
-    Each level reads the endpoint index its bound endpoints select, else
-    ``scan`` (only the first level under ``mode`` "total"; later ones read
-    every graph edge), which must hold only edges of the level's pool.
-    Node slots from ``n`` on are ``consts``; under the extension modes the
-    row ``mu`` binds the variables of ``bound`` and their endpoints.  Mode
-    "total" emits each total ``Matching``; "ordered" emits after every
-    level; "unordered" lets each level also leave its variable unbound,
-    before binding it, and emits when some level bound.  A matching binding
-    every edge variable is emitted once per fill, a tuple of ``fills``
-    holding the isolated node slots in order.  Past ``_DEPTH`` levels the
-    search chains into a further function.
+    ``index`` holds the endpoint indices ``(by_src, by_dst, by_pair)`` that
+    the levels read.  A level with one bound endpoint reads the
+    ``(edge, far endpoint)`` pairs of ``by_src`` or ``by_dst`` and reads
+    ``g.edges`` only for an edge label; one with both bound reads
+    ``by_pair``; one with neither reads ``scan`` (only the first level under
+    mode "total"; later ones read every graph edge), which must hold only
+    edges of the level's pool.  Under "total" a level that binds both ends
+    of a later variable looks up that variable's ``by_pair`` candidates at
+    once and backtracks when there are none (constants' lookups move to the
+    head).  Node slots from ``n`` on are ``consts``; under the extension
+    modes the row ``mu`` binds the variables of ``bound`` and their
+    endpoints.  Mode "total" emits each total ``Matching``; "ordered" emits
+    after every level; "unordered" lets each level also leave its variable
+    unbound, before binding it, and emits when some level bound.  A
+    matching binding every edge variable is emitted once per fill, a tuple
+    of ``fills`` holding the isolated node slots in order.  Past ``_DEPTH``
+    levels the search chains into a further function.
 
     Each leaf files the matching under its class in ``fate``: an int
     counts it, unbuilt, and a list gets it.  Under "total", ``entry`` is
@@ -258,17 +277,29 @@ def _plan_source(
     """
     names: dict[int, str] = {}  # node slot -> the local holding its value
     dyn: set[str] = set()  # the locals that may hold None (unordered)
-    head = []
+    hoisted: dict[int, str] = {}  # edge variable -> the local holding its by_pair lookup
+    total = mode == "total"
+
+    def hoist(lines: list[str], pad: str, later: Iterable[int], leave: str) -> None:
+        """Under "total", look up each variable of ``later`` whose ends are both bound now."""
+        for j in later if total else ():
+            sa, sb = slots[j][:2]
+            if j not in hoisted and sa in names and sb in names:
+                hoisted[j] = f"c{j}"
+                lines += [f"{pad}c{j} = by_pair.get(({names[sa]}, {names[sb]}))"]
+                lines += [f"{pad}if c{j} is None:", f"{pad}    {leave}"]
+
+    head: list[str] = []
     for s in sorted({s for slot in slots for s in slot[:2] if s >= n}):
         names[s] = f"v{s}"
         head.append(f"v{s} = consts[{s - n}]")
+    hoist(head, "", order, "return")
     for j in bound:
         head.append(f"e{j} = mu[0][{j}]")
         for s in slots[j][:2]:
             if s not in names:
                 names[s] = f"v{s}"
                 head.append(f"v{s} = mu[1][{s}]")
-    total = mode == "total"
     unpack = ["first, d, snapshots, fate = entry", "get = first.get"] if total else [
         "configs, S, fate = entry"
     ]
@@ -301,25 +332,32 @@ def _plan_source(
     for i, j in enumerate(order):
         if i and i % _DEPTH == 0:
             params = [*dict.fromkeys(names.values()), *(e for e in edges if e != "None")]
+            params += [hoisted[k] for k in order[i:] if k in hoisted]
             params.append(f"i{i - 1}" if total else "src")
             body.append(f"{pad}_plan{len(funcs)}({_HEAD}, {', '.join(params)})")
             head, body, pad = list(unpack), [], "    "
             funcs.append((params, head, body))
         sa, sb, want, label_a, label_b = slots[j]
         a, b = names.get(sa), names.get(sb)
-        free = "scan" if not total or i == 0 else "g_edges"
-        source = _candidates(a, b, dyn, free)
         ends = [(sa, "src", label_a)] + ([(sb, "dst", label_b)] if sb != sa else [])
         fresh = [end for end in ends if names.get(end[0]) is None or names[end[0]] in dyn]
+        far = None  # the fresh endpoint an index of pairs binds
+        if mode == "unordered":
+            source = _candidates(a, b, dyn)
+        elif j in hoisted:
+            source = hoisted[j]
+        elif (a is None) != (b is None):
+            source = f"by_src.get({a}, ())" if a is not None else f"by_dst.get({b}, ())"
+            far = fresh[0][0]
+        elif a is not None:
+            source = f"by_pair.get(({a}, {b}), ())"
+        else:
+            source = "scan" if not total or i == 0 else "g_edges"
         tests = [f"e{j} not in pool{i}"] if pooled and source != "scan" else []
         if tests:
             head.append(f"pool{i} = pools[{i}]")
         if distinct:
             tests += [f"e{j} == {e}" for e in edges if e != "None"]
-        checks = [f"E.label != {want!r}"] if want is not None else []
-        if sa == sb and fresh:
-            checks.append("E.src != E.dst")
-        checks += [f"g_nodes[E.{end}] != {label!r}" for _, end, label in fresh if label is not None]
         if mode == "unordered":
             body += [f"{pad}for e{j} in (None, *{source}):", f"{pad}    if e{j} is None:"]
             body += [f"{pad}        v{s}_{i} = {names.get(s)}" for s, _, _ in fresh]
@@ -328,16 +366,23 @@ def _plan_source(
             names.update((s, f"v{s}_{i}") for s, _, _ in fresh)
             dyn.update(f"v{s}_{i}" for s, _, _ in fresh)
         else:
-            body.append(f"{pad}for e{j} in {source}:")
+            body.append(f"{pad}for e{j}{f', v{far}' * (far is not None)} in {source}:")
             inner = pad = pad + "    "
             names.update((s, f"v{s}") for s, _, _ in fresh)
+        mark = len(body)
         if tests:
             body.append(f"{inner}if {' or '.join(tests)}:\n{inner}    continue")
-        if fresh or checks:
+        checks = [f"E.label != {want!r}"] if want is not None else []
+        if sa == sb and fresh:
+            checks.append("E.src != E.dst")
+        if checks or (fresh and far is None):
             body.append(f"{inner}E = g_edges[e{j}]")
+        body += [f"{inner}{names[s]} = E.{end}" for s, end, _ in fresh if s != far]
+        checks += [f"g_nodes[{names[s]}] != {x!r}" for s, _, x in fresh if x is not None]
         if checks:
             body.append(f"{inner}if {' or '.join(checks)}:\n{inner}    continue")
-        body += [f"{inner}{names[s]} = E.{end}" for s, end, _ in fresh]
+        body += [f"{inner}pass"] * (len(body) == mark and mode == "unordered")
+        hoist(body, inner, order[i + 1:], "continue")
         if total:  # the entry index so far: the earliest first snapshot
             body.append(f"{inner}i{i} = get(e{j}, d)")
             if i:
@@ -357,8 +402,8 @@ def _plan_source(
             body.append(f"{pad}{kw} {test}:\n{leaf(pad + '    ', whole, f'src | {bits}')}")
     src = []
     for c, (params, head, body) in enumerate(funcs):
-        text = "\n".join(body)
-        context = [f"    {x} = g.{x.removeprefix('g_')}" for x in _CONTEXT if x in text]
+        text = "\n".join(head + body)
+        context = [f"    {x} = {value}" for x, value in _CONTEXT.items() if x in text]
         src += [f"def _plan{c}({', '.join([_HEAD, *params])}):", *context]
         src += [f"    {line}" for line in head] + body
     return "\n".join(src) + "\n"
@@ -368,7 +413,7 @@ def _plan(*key) -> Callable[..., None]:
     """The search of ``_plan_source(*key)``, compiled once per process."""
     plan = _PLANS.get(key)
     if plan is None:
-        namespace = {"Matching": Matching, "_new": tuple.__new__}
+        namespace = {"Matching": Matching, "_new": tuple.__new__, "_first": itemgetter(0)}
         exec(compile(_plan_source(*key), "<plan>", "exec"), namespace)
         plan = _PLANS[key] = namespace["_plan0"]
     return plan
@@ -393,10 +438,10 @@ def _fills(g: TemporalGraph, p: Bgp) -> list[tuple[str, ...]]:
 
 def _graph_order(g: TemporalGraph, new: set[str]) -> list[str]:
     """The edges of ``new`` in graph order (``ReferentialError`` for one the graph lacks)."""
-    scan = [e for e in g.edges if e in new]
-    if len(scan) < len(new):
-        raise ReferentialError(f"unknown edge {min(new.difference(g.edges))!r}")
-    return scan
+    try:
+        return sorted(new, key=g.position.__getitem__)
+    except KeyError:
+        raise ReferentialError(f"unknown edge {min(new.difference(g.edges))!r}") from None
 
 
 def _total(
@@ -424,10 +469,11 @@ def _total(
         entry = ({}, 0, ((None, frozenset()),), defaultdict(lambda: out))
     if all(c in g.nodes for c in p.constants):
         n, fills = len(p.node_vars), _fills(g, p)
+        index = (g.by_src, g.by_dst, g.by_pair)
         for order, pools in searches:
             pooled = pools is not None
             plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", ())
-            plan(g, [pools[j] for j in order] if pooled else None,
+            plan(g, index, [pools[j] for j in order] if pooled else None,
                  g.edges if scan is None else scan, p.constants, None, fills, entry)
     return out if public else entry[-1]
 
@@ -512,7 +558,9 @@ def delta_match(
 # Partial matchings
 
 
-def _reachable(slot: _Slot, nodes: Sequence[str | None], srcs: set[str], dsts: set[str]) -> bool:
+def _reachable(
+    slot: _Slot, nodes: Sequence[str | None], srcs: Collection[str], dsts: Collection[str]
+) -> bool:
     """Whether a new edge may bind ``slot`` under ``nodes``: one leaving its
     bound source, else one entering its bound target, else any."""
     va, vb = nodes[slot[0]], nodes[slot[1]]
@@ -522,8 +570,12 @@ def _reachable(slot: _Slot, nodes: Sequence[str | None], srcs: set[str], dsts: s
 
 
 def _order_gate(
-    p: Bgp, slots: tuple[_Slot, ...], slot_order: list[int], srcs: set[str], dsts: set[str]
-) -> list[tuple[int, set[str]] | bool]:
+    p: Bgp,
+    slots: tuple[_Slot, ...],
+    slot_order: list[int],
+    srcs: Collection[str],
+    dsts: Collection[str],
+) -> list[tuple[int, Collection[str]] | bool]:
     """Per prefix length ``k``, whether a row binding ``slot_order[:k]`` can be extended.
 
     An extension binds ``slot_order[k]`` first.  When the prefix or a
@@ -535,10 +587,10 @@ def _order_gate(
     """
     n = len(p.node_vars)
     bound = set(range(n, n + len(p.constants)))
-    gate: list[tuple[int, set[str]] | bool] = []
+    gate: list[tuple[int, Collection[str]] | bool] = []
     for j in slot_order:
         sa, sb = slots[j][:2]
-        reach: tuple[int, set[str]] | bool = (
+        reach: tuple[int, Collection[str]] | bool = (
             (sa, srcs) if sa in bound else (sb, dsts) if sb in bound else True
         )
         if reach is not True and reach[0] >= n:
@@ -582,16 +634,18 @@ def extend(
     variables (one per prefix length under an order, per set of unbound
     variables without one): under an order it emits after each level;
     without one, each unbound variable is first left unbound, then bound
-    to each fitting edge, in declaration order.  Variables with both
-    endpoints unbound draw from the new edges alone, in graph order.
-    With ``entry = (snap, fate)``, ``states_matchings`` maps configuration
-    sets to their rows, and extensions are filed by class in ``fate``
-    (``_plan_source``), which is returned instead of the pairs.
+    to each fitting edge, in declaration order.  The plans read only the
+    endpoint indices of the new edges (``endpoint_index``), built once per
+    call in graph order, whose keys are also the gate's ``srcs`` and
+    ``dsts``; variables with both endpoints unbound draw from the new
+    edges in graph order.  With ``entry = (snap, fate)``,
+    ``states_matchings`` maps configuration sets to their rows, and
+    extensions are filed by class in ``fate`` (``_plan_source``), which is
+    returned instead of the pairs.
     """
-    new = set(new_edges)
-    scan = _graph_order(g, new)
-    srcs = {g.edges[e].src for e in scan}
-    dsts = {g.edges[e].dst for e in scan}
+    scan = _graph_order(g, set(new_edges))
+    index = endpoint_index((e, g.edges[e]) for e in scan)
+    srcs, dsts = index[0].keys(), index[1].keys()
     slots = _slot_table(p)
     n, width = len(p.node_vars), p.width
     if order is None:
@@ -599,7 +653,7 @@ def extend(
     else:
         slot_order = order_indices(p, order)
         gate = _order_gate(p, slots, slot_order, srcs, dsts)
-    pools, consts, fills = [new] * width, p.constants, _fills(g, p)
+    consts, fills = p.constants, _fills(g, p)
     plans: dict[object, Callable[..., None]] = {}
     pairs: list[tuple[Matching, Matching]] = []
     out: list[Matching] = []
@@ -630,9 +684,9 @@ def extend(
                 bound = tuple(j for j in range(width) if j not in todo)
                 mode = "unordered" if gate is None else "ordered"
                 plan = plans[key] = _plan(
-                    slots, n, tuple(todo), True, distinct_edges, mode, bound
+                    slots, n, tuple(todo), False, distinct_edges, mode, bound
                 )
-            plan(g, pools, scan, consts, mu, fills, held)
+            plan(g, index, None, scan, consts, mu, fills, held)
             if public:
                 pairs += zip(repeat(mu), out)
                 out.clear()

@@ -36,6 +36,13 @@ class TemporalGraph:
     and is defined exactly for edges with a nonempty activation set.
     Edges with empty activation sets are retained: they participate in
     time-agnostic matching and are simply never active.
+
+    ``position`` maps each edge to its index in graph order, the order of
+    ``edges``.  The endpoint indices (``endpoint_index``) list their edges
+    in graph order: ``by_src`` maps a node to ``(edge, target)`` pairs,
+    ``by_dst`` to ``(edge, source)`` pairs, and ``by_pair`` a ``(source,
+    target)`` pair to its edges, so a join that follows one bound endpoint
+    learns the far one without reading ``edges``.
     """
 
     nodes: dict[str, str]
@@ -46,8 +53,9 @@ class TemporalGraph:
     rank: dict[float, int] = field(repr=False)         # timepoint -> 1-based index
     snapshots: dict[float, frozenset[str]] = field(repr=False)
     first_rank: dict[str, int] = field(repr=False)     # edge -> rank of first activation
-    by_src: dict[str, tuple[str, ...]] = field(repr=False)
-    by_dst: dict[str, tuple[str, ...]] = field(repr=False)
+    position: dict[str, int] = field(repr=False)       # edge -> index in graph order
+    by_src: dict[str, tuple[tuple[str, str], ...]] = field(repr=False)
+    by_dst: dict[str, tuple[tuple[str, str], ...]] = field(repr=False)
     by_pair: dict[tuple[str, str], tuple[str, ...]] = field(repr=False)
 
     @property
@@ -99,13 +107,7 @@ def build_graph(
         for t in ts:
             snap[t].add(eid)
 
-    by_src: dict[str, list[str]] = {}
-    by_dst: dict[str, list[str]] = {}
-    by_pair: dict[tuple[str, str], list[str]] = {}
-    for eid, e in edge_map.items():
-        by_src.setdefault(e.src, []).append(eid)
-        by_dst.setdefault(e.dst, []).append(eid)
-        by_pair.setdefault((e.src, e.dst), []).append(eid)
+    by_src, by_dst, by_pair = endpoint_index(edge_map.items())
 
     return TemporalGraph(
         nodes=node_map,
@@ -115,10 +117,25 @@ def build_graph(
         rank=rank,
         snapshots={t: frozenset(s) for t, s in snap.items()},
         first_rank={eid: rank[ts[0]] for eid, ts in active_map.items() if ts},
+        position=dict(zip(edge_map, range(len(edge_map)))),
         by_src={k: tuple(v) for k, v in by_src.items()},
         by_dst={k: tuple(v) for k, v in by_dst.items()},
         by_pair={k: tuple(v) for k, v in by_pair.items()},
     )
+
+
+def endpoint_index(edges: Iterable[tuple[str, Edge]]):
+    """The endpoint indices of ``edges``, ``(id, edge)`` pairs, each list in their order:
+    source -> ``(id, target)`` pairs, target -> ``(id, source)`` pairs and
+    ``(source, target)`` -> ids."""
+    by_src: dict[str, list[tuple[str, str]]] = {}
+    by_dst: dict[str, list[tuple[str, str]]] = {}
+    by_pair: dict[tuple[str, str], list[str]] = {}
+    for eid, e in edges:
+        by_src.setdefault(e.src, []).append((eid, e.dst))
+        by_dst.setdefault(e.dst, []).append((eid, e.src))
+        by_pair.setdefault((e.src, e.dst), []).append(eid)
+    return by_src, by_dst, by_pair
 
 
 def _read_rows(path, expected_header: Sequence[str]):

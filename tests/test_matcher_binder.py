@@ -72,6 +72,21 @@ PATTERNS = {
     "path3": shape_text("path3"),
     # under y1,y2,y3,y4 the last variable closes the cycle, both ends bound
     "cycle4": shape_text("cycle4"),
+    # match_total looks y3 up as soon as y2 binds x3, whose label y2 tests;
+    # y3's own label is tested at its own level
+    "labelled_closing": (
+        "node x1\nnode x2\nnode x3 : m\n"
+        "edge y1 : x1 -> x2\nedge y2 : x2 -> x3\nedge y3 : x3 -> x1 : s\n"
+    ),
+    # the triangle closes on the constant: y3's lookup follows y2
+    "constant_triangle": (
+        "const v0\nnode x1\nnode x2\n"
+        "edge y1 : v0 -> x1\nedge y2 : x1 -> x2\nedge y3 : x2 -> v0\n"
+    ),
+    # y1 binds both ends of y2 and of the self-loop y3: two lookups at one level
+    "closing_self_loop": (
+        "node x1\nnode x2\nedge y1 : x1 -> x2\nedge y2 : x2 -> x1\nedge y3 : x2 -> x2\n"
+    ),
 }
 
 
@@ -153,20 +168,31 @@ def test_match_total_work_does_not_follow_declaration_order():
 
 
 def test_plan_source_names_each_level_candidates():
+    # a level with one bound endpoint unpacks (edge, far endpoint) pairs; the
+    # closing variable iterates the lookup the level binding its last end made
     p = shape_bgp("cycle4")
     src = plan_source(p)
     compile(src, "<plan>", "exec")
     assert _loop_sources(src) == [
-        "scan:", "by_src.get(v1, ()):", "by_src.get(v2, ()):", "by_pair.get((v3, v0), ()):"
+        "scan:", "by_src.get(v1, ()):", "by_src.get(v2, ()):", "c3:"
     ]
+    assert "for e1, v2 in by_src.get(v1, ()):" in src
+    assert "c3 = by_pair.get((v3, v0))" in src
+    assert src.count("g_edges[") == 1  # only the scan level reads an edge
     src = plan_source(p, order=("y2", "y1", "y3", "y4"), distinct_edges=True)
     compile(src, "<plan>", "exec")
     assert _loop_sources(src) == [
-        "scan:", "by_dst.get(v1, ()):", "by_src.get(v2, ()):", "by_pair.get((v3, v0), ()):"
+        "scan:", "by_dst.get(v1, ()):", "by_src.get(v2, ()):", "c3:"
     ]
+    assert "for e0, v0 in by_dst.get(v1, ()):" in src
     assert "if e3 == e0 or e3 == e1 or e3 == e2:" in src
-    # disconnected, a later level reads every graph edge
-    assert _loop_sources(plan_source(p, order=("y1", "y3", "y2", "y4")))[1] == "g_edges:"
+    # disconnected, a later level reads every graph edge, and the two
+    # variables closing the cycle are both looked up there
+    src = plan_source(p, order=("y1", "y3", "y2", "y4"))
+    assert _loop_sources(src) == ["scan:", "g_edges:", "c1:", "c3:"]
+    # a lookup between two constants runs once, at the head
+    src = plan_source(parse_bgp(PATTERNS["constant_pair"]))
+    assert "    c0 = by_pair.get((v1, v2))\n    if c0 is None:\n        return\n" in src
     with pytest.raises(FormatError):
         plan_source(p, order=("y1", "y2"))
 
@@ -178,6 +204,67 @@ def _line_graph(n_nodes):
         {f"e{i}": (f"v{i}", f"v{i + 1}", "e") for i in range(n_nodes - 1)},
         {f"e{i}": [float(i + 1)] for i in range(n_nodes - 1)},
     )
+
+
+def test_match_total_reads_each_edge_at_most_once():
+    # the scan level reads each graph edge once; every other level learns
+    # the far endpoint from the index pair and reads no edge
+    g = generate_graph(GenSpec(26, 0.5, 0.5, 25, seed=42))
+
+    class Reads(dict):
+        calls = 0
+
+        def __getitem__(self, key):
+            Reads.calls += 1
+            return super().__getitem__(key)
+
+    p = shape_bgp("cycle4")
+    got = match_total(dataclasses.replace(g, edges=Reads(g.edges)), p)
+    assert 0 < Reads.calls <= g.n_edges
+    assert got == match_total(g, p) and len(got) > 20000
+
+
+@pytest.mark.parametrize("order", [("y1", "y2", "y3", "y4"), None], ids=["ordered", "unordered"])
+def test_extend_reads_only_the_new_edges_index(order):
+    # extend indexes the new edges once per call; its plans never probe the
+    # graph's own endpoint indices
+    g = generate_graph(GenSpec(12, 0.5, 0.5, 5, seed=1))
+    counted = dataclasses.replace(
+        g, **{name: _Probes(getattr(g, name)) for name in ("by_src", "by_dst", "by_pair")}
+    )
+    p = shape_bgp("cycle4")
+    table, hist = [empty_matching(p)], frozenset()
+    _Probes.calls = 0
+    for i in range(1, len(g.domain) + 1):
+        new = history_upto(g, i) - hist
+        hist = history_upto(g, i)
+        pairs = extend(counted, p, table, new, order=order)
+        assert pairs == extend(g, p, table, new, order=order)
+        table += [m for _, m in pairs]
+    assert len(table) > 100
+    assert _Probes.calls == 0
+
+
+def test_a_closing_lookup_crosses_the_chained_functions():
+    # a two-node ring walked seven times: y1 binds both ends of every other
+    # variable, so all thirteen lookups run at the first level, and those of
+    # y13 and y14 are passed on to the second generated function
+    width = 14
+    p = parse_bgp(
+        "node x0\nnode x1\n"
+        + "".join(f"edge y{i} : x{(i - 1) % 2} -> x{i % 2}\n" for i in range(1, width + 1))
+    )
+    head = plan_source(p).split("def _plan1(", 1)[1].split("\n", 1)[0]
+    assert "c12" in head and "c13" in head
+    two_way = build_graph({"a": "n", "b": "n"}, {"e1": ("a", "b", "e"), "e2": ("b", "a", "e")}, {})
+    two_loops = build_graph({"a": "n"}, {"e1": ("a", "a", "e"), "e2": ("a", "a", "e")}, {})
+    for g, count in ((two_way, 2), (two_loops, 2**width)):
+        want = oracle_match(g, p)
+        assert len(want) == count
+        assert sorted(match_total(g, p)) == want
+        assert sorted(delta_match(g, p, [], g.edges)) == want
+        # anchored at each variable in turn, old and new edges in the pools
+        assert sorted(delta_match(g, p, [], ["e1"]) + delta_match(g, p, {"e1"}, ["e2"])) == want
 
 
 def test_deep_patterns_chain_generated_functions():
@@ -432,7 +519,7 @@ from tempo_bgp import run_baseline, run_on_demand, run_partial_match
 from tempo_bgp.rng import SplitMix64
 from tempo_bgp.workbench import SHAPE_NAMES, random_graph, ring_automaton, shape_text
 
-texts = [shape_text(name) for name in SHAPE_NAMES] + [%r, %r, %r, %r, %r]
+texts = [shape_text(name) for name in SHAPE_NAMES] + [%r, %r, %r, %r, %r, %r]
 outs = []
 for seed, distinct in product(range(8), (False, True)):
     g = random_graph(SplitMix64(seed), max_nodes=6, max_edges=12)
@@ -458,7 +545,10 @@ for seed, distinct in product(range(8), (False, True)):
 print(len(outs), hashlib.sha256("\\n".join(outs).encode()).hexdigest())
 """ % tuple(
     PATTERNS[name]
-    for name in ("disconnected", "branch", "labels", "constant_self_loop", "isolated_labelled_node")
+    for name in (
+        "disconnected", "branch", "labels", "constant_self_loop", "isolated_labelled_node",
+        "labelled_closing",
+    )
 )
 
 
