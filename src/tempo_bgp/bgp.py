@@ -16,10 +16,17 @@ one from the index's ``(edge, far endpoint)`` pairs.  In the total and
 delta joins, a level that binds both ends of a later variable looks
 that variable up in ``by_pair`` at once and backtracks when the lookup
 is empty (the lookahead of Leapfrog Triejoin, Veldhuizen 2014), so no
-prefix is grown that cannot close.  Every plan is fused with the first
+prefix is grown that cannot close; a lookup that the constants alone fix
+runs once, before the loops.  Every plan is fused with the first
 automaton step: the innermost loop files each matching under its class
 in a fate table the caller fills, and never builds one whose class dies
-there.  Node slots are the node variables, then one slot per constant;
+there.  Under an engine's fate the total and delta plans also prune:
+after every level but the last, a verdict table the fate fills from the
+initial state's transitions says whether some completion of the prefix
+can survive its first move, and a dead prefix's completions are only
+counted, never filed.  The verdict holds only when ``first`` gives each
+edge's exact first snapshot index, as baseline and on-demand pass it.
+Node slots are the node variables, then one slot per constant;
 once every edge variable is bound, one matching is filed per fill, an
 assignment of the isolated node variables handed to the plan at run
 time.  Without an ``entry``, every class is one list, and the matchers
@@ -244,6 +251,7 @@ def _plan_source(
     distinct: bool,
     mode: str,
     bound: tuple[int, ...],
+    prune: bool = False,
 ) -> str:
     """Python source of one search, ``_plan0(g, index, pools, scan, consts, mu, fills, entry)``.
 
@@ -257,15 +265,17 @@ def _plan_source(
     mode "total"; later ones read every graph edge), which must hold only
     edges of the level's pool.  Under "total" a level that binds both ends
     of a later variable looks up that variable's ``by_pair`` candidates at
-    once and backtracks when there are none (constants' lookups move to the
-    head).  Node slots from ``n`` on are ``consts``; under the extension
-    modes the row ``mu`` binds the variables of ``bound`` and their
-    endpoints.  Mode "total" emits each total ``Matching``; "ordered" emits
-    after every level; "unordered" lets each level also leave its variable
-    unbound, before binding it, and emits when some level bound.  A
-    matching binding every edge variable is emitted once per fill, a tuple
-    of ``fills`` holding the isolated node slots in order.  Past ``_DEPTH``
-    levels the search chains into a further function.
+    once and backtracks when there are none; the lookups that constants
+    alone fix, of a variable between two constants or of one whose only
+    end bound at its level is a constant, move to the head.  Node slots
+    from ``n`` on are ``consts``; under the extension modes the row ``mu``
+    binds the variables of ``bound`` and their endpoints.  Mode "total"
+    emits each total ``Matching``; "ordered" emits after every level;
+    "unordered" lets each level also leave its variable unbound, before
+    binding it, and emits when some level bound.  A matching binding every
+    edge variable is emitted once per fill, a tuple of ``fills`` holding
+    the isolated node slots in order.  Past ``_DEPTH`` levels the search
+    chains into a further function.
 
     Each leaf files the matching under its class in ``fate``: an int
     counts it, unbuilt, and a list gets it.  Under "total", ``entry`` is
@@ -274,11 +284,22 @@ def _plan_source(
     letter read in ``snapshots[i][1]``.  Else ``entry`` is ``(configs, S,
     fate)`` and the class ``(configs, letter)``: new edges are all in the
     snapshot ``S``, so the letter is ``mu``'s bits in ``S`` OR those bound now.
+
+    With ``prune`` (mode "total" only), every level but the last asks
+    ``fate.verdicts(mask)``, the table of the prefixes binding the
+    variables of ``mask``, whether its prefix may live: the key is ``(i,
+    bits)``, ``i`` the prefix's entry index and ``bits`` its edges' bits in
+    ``snapshots[i][1]``.  A dead prefix's completions are only counted: the
+    remaining levels run with the same sources and tests, no fold and no
+    verdict, each leaf adding its fills to a local count (a last level
+    without tests adds the length of its candidates), and the search
+    returns the count, the chained functions theirs.
     """
     names: dict[int, str] = {}  # node slot -> the local holding its value
     dyn: set[str] = set()  # the locals that may hold None (unordered)
-    hoisted: dict[int, str] = {}  # edge variable -> the local holding its by_pair lookup
+    hoisted: dict[int, str] = {}  # edge variable -> the local holding its lookup
     total = mode == "total"
+    leave = "return 0" if prune else "return"
 
     def hoist(lines: list[str], pad: str, later: Iterable[int], leave: str) -> None:
         """Under "total", look up each variable of ``later`` whose ends are both bound now."""
@@ -293,7 +314,16 @@ def _plan_source(
     for s in sorted({s for slot in slots for s in slot[:2] if s >= n}):
         names[s] = f"v{s}"
         head.append(f"v{s} = consts[{s - n}]")
-    hoist(head, "", order, "return")
+    hoist(head, "", order, leave)
+    reached = set(names)  # the node slots bound before each level
+    for j in order if total else ():
+        sa, sb = slots[j][:2]
+        if j not in hoisted and (sa in reached) != (sb in reached):
+            s, index = (sa, "by_src") if sa in reached else (sb, "by_dst")
+            if s >= n:  # its one bound end is a constant
+                hoisted[j] = f"c{j}"
+                head += [f"c{j} = {index}.get({names[s]})", f"if c{j} is None:", f"    {leave}"]
+        reached.update((sa, sb))
     for j in bound:
         head.append(f"e{j} = mu[0][{j}]")
         for s in slots[j][:2]:
@@ -303,22 +333,19 @@ def _plan_source(
     unpack = ["first, d, snapshots, fate = entry", "get = first.get"] if total else [
         "configs, S, fate = entry"
     ]
+    unpack += ["pruned = 0"] * prune
     head += unpack + [f"src = {_bits(bound, 'e{} in S')}"] * (not total)
     edges = [f"e{j}" if j in bound else "None" for j in range(len(slots))]
     isolated = sorted(set(range(n)).difference(s for slot in slots for s in slot[:2]))
-    params: list[str] = []
-    body: list[str] = []
-    funcs = [(params, head, body)]
-    pad = "    "
 
-    def leaf(pad: str, whole: bool, letter: str) -> str:
+    def leaf(whole: bool, letter: str) -> list[str]:
         fill = whole and bool(isolated)
         nodes = (f"w{s}" if fill and s in isolated else names.get(s, "None") for s in range(n))
         m = f"_new(Matching, ({_tuple(edges)}, {_tuple(nodes)}))"
         loop = [f"for {_tuple(f'w{s}' for s in isolated)} in fills:"] if fill else []
         fold = f"i{len(order) - 1}" if order else "d"
         lines = [f"S = snapshots[{fold}][1]"] if total else []
-        lines += [
+        return lines + [
             f"k = ({fold if total else 'configs'}, {letter})",
             "b = fate[k]",
             "if b.__class__ is int:",
@@ -327,16 +354,18 @@ def _plan_source(
             *(f"    {line}" for line in loop),
             f"    {'    ' * fill}b.append({m})",
         ]
-        return "\n".join(pad + line for line in lines)
 
+    # per level, relative to its loop: the loop and its checks, which a
+    # count runs too, then what a search that files runs after them
+    loops: list[list[str]] = []
+    afters: list[list[str]] = []
+    heads: list[list[str]] = []  # per level: its lines in its function's head
+    lens: list[str | None] = []  # per level: its candidates' count, when it tests none
+    params: dict[int, list[str]] = {}  # per chained level: the locals its function takes
     for i, j in enumerate(order):
         if i and i % _DEPTH == 0:
-            params = [*dict.fromkeys(names.values()), *(e for e in edges if e != "None")]
-            params += [hoisted[k] for k in order[i:] if k in hoisted]
-            params.append(f"i{i - 1}" if total else "src")
-            body.append(f"{pad}_plan{len(funcs)}({_HEAD}, {', '.join(params)})")
-            head, body, pad = list(unpack), [], "    "
-            funcs.append((params, head, body))
+            params[i] = [*dict.fromkeys(names.values()), *(e for e in edges if e != "None")]
+            params[i] += [hoisted[k] for k in order[i:] if k in hoisted]
         sa, sb, want, label_a, label_b = slots[j]
         a, b = names.get(sa), names.get(sb)
         ends = [(sa, "src", label_a)] + ([(sb, "dst", label_b)] if sb != sa else [])
@@ -344,34 +373,34 @@ def _plan_source(
         far = None  # the fresh endpoint an index of pairs binds
         if mode == "unordered":
             source = _candidates(a, b, dyn)
+        elif (a is None) != (b is None):
+            index = f"by_src.get({a}, ())" if a is not None else f"by_dst.get({b}, ())"
+            source = hoisted.get(j, index)
+            far = fresh[0][0]
         elif j in hoisted:
             source = hoisted[j]
-        elif (a is None) != (b is None):
-            source = f"by_src.get({a}, ())" if a is not None else f"by_dst.get({b}, ())"
-            far = fresh[0][0]
         elif a is not None:
             source = f"by_pair.get(({a}, {b}), ())"
         else:
             source = "scan" if not total or i == 0 else "g_edges"
         tests = [f"e{j} not in pool{i}"] if pooled and source != "scan" else []
-        if tests:
-            head.append(f"pool{i} = pools[{i}]")
+        heads.append([f"pool{i} = pools[{i}]"] if tests else [])
         if distinct:
             tests += [f"e{j} == {e}" for e in edges if e != "None"]
         if mode == "unordered":
-            body += [f"{pad}for e{j} in (None, *{source}):", f"{pad}    if e{j} is None:"]
-            body += [f"{pad}        v{s}_{i} = {names.get(s)}" for s, _, _ in fresh]
-            body += [f"{pad}        pass"] * (not fresh) + [f"{pad}    else:"]
-            inner, pad = pad + "        ", pad + "    "
+            body = [f"for e{j} in (None, *{source}):", f"    if e{j} is None:"]
+            body += [f"        v{s}_{i} = {names.get(s)}" for s, _, _ in fresh]
+            body += ["        pass"] * (not fresh) + ["    else:"]
+            inner = "        "
             names.update((s, f"v{s}_{i}") for s, _, _ in fresh)
             dyn.update(f"v{s}_{i}" for s, _, _ in fresh)
         else:
-            body.append(f"{pad}for e{j}{f', v{far}' * (far is not None)} in {source}:")
-            inner = pad = pad + "    "
+            body = [f"for e{j}{f', v{far}' * (far is not None)} in {source}:"]
+            inner = "    "
             names.update((s, f"v{s}") for s, _, _ in fresh)
         mark = len(body)
         if tests:
-            body.append(f"{inner}if {' or '.join(tests)}:\n{inner}    continue")
+            body += [f"{inner}if {' or '.join(tests)}:", f"{inner}    continue"]
         checks = [f"E.label != {want!r}"] if want is not None else []
         if sa == sb and fresh:
             checks.append("E.src != E.dst")
@@ -380,32 +409,72 @@ def _plan_source(
         body += [f"{inner}{names[s]} = E.{end}" for s, end, _ in fresh if s != far]
         checks += [f"g_nodes[{names[s]}] != {x!r}" for s, _, x in fresh if x is not None]
         if checks:
-            body.append(f"{inner}if {' or '.join(checks)}:\n{inner}    continue")
+            body += [f"{inner}if {' or '.join(checks)}:", f"{inner}    continue"]
         body += [f"{inner}pass"] * (len(body) == mark and mode == "unordered")
+        lens.append(None if tests or checks else f"len({source})")
         hoist(body, inner, order[i + 1:], "continue")
+        loops.append(body)
+        after = []
         if total:  # the entry index so far: the earliest first snapshot
-            body.append(f"{inner}i{i} = get(e{j}, d)")
+            after.append(f"i{i} = get(e{j}, d)")
             if i:
-                body.append(f"{inner}if i{i - 1} < i{i}:\n{inner}    i{i} = i{i - 1}")
+                after += [f"if i{i - 1} < i{i}:", f"    i{i} = i{i - 1}"]
         edges[j] = f"e{j}"
         if mode == "ordered":
             bits = sum(1 << k for k in order[: i + 1])
-            body.append(leaf(pad, i == len(order) - 1, f"src | {bits}"))
+            after += leaf(i == len(order) - 1, f"src | {bits}")
+        afters.append(after)
     if total:
-        body.append(leaf(pad, True, _bits(range(len(slots)), "e{} in S")))
+        final = leaf(True, _bits(range(len(slots)), "e{} in S"))
     elif mode == "unordered":
         # a total matching takes the fills, any other one at least one binding
+        final = []
         branches = [(" and ", True)] * bool(isolated) + [(" or ", False)]
         for kw, (op, whole) in zip(("if", "elif"), branches):
             test = op.join(f"e{j} is not None" for j in order) or "False"
             bits = sum(1 << k for k in order) if whole else _bits(order, "e{} is not None")
-            body.append(f"{pad}{kw} {test}:\n{leaf(pad + '    ', whole, f'src | {bits}')}")
+            final += [f"{kw} {test}:", *(f"    {x}" for x in leaf(whole, f"src | {bits}"))]
+    else:
+        final = []
+    last = len(order) - 1
+
+    def nest(i: int, start: int, count: bool) -> list[str]:
+        """The lines of levels ``i`` on, up to the end of the function whose
+        first level is ``start``; a ``count`` only counts the leaves."""
+        if i > last:
+            return [f"pruned += {'len(fills)' if isolated else 1}"] if count else final
+        if i != start and i % _DEPTH == 0:
+            args = params[i] + ([] if count else [f"i{i - 1}" if total else "src"])
+            call = f"_{'count' if count else 'plan'}{i // _DEPTH}({_HEAD}, {', '.join(args)})"
+            return [f"pruned += {call}" if prune else call]
+        if count and i == last and lens[i] is not None:
+            return [f"pruned += {lens[i]}" + " * len(fills)" * bool(isolated)]
+        inner = [] if count else list(afters[i])
+        if prune and not count and i < last:
+            bits = _bits(order[: i + 1], "e{} in S")
+            inner += [f"S = snapshots[i{i}][1]", f"if not live{i}[i{i}, {bits}]:"]
+            inner += [f"    {line}" for line in nest(i + 1, start, True)] + ["    continue"]
+        return loops[i] + [f"    {line}" for line in inner + nest(i + 1, start, count)]
+
     src = []
-    for c, (params, head, body) in enumerate(funcs):
-        text = "\n".join(head + body)
-        context = [f"    {x} = {value}" for x, value in _CONTEXT.items() if x in text]
-        src += [f"def _plan{c}({', '.join([_HEAD, *params])}):", *context]
-        src += [f"    {line}" for line in head] + body
+    for start in range(0, max(len(order), 1), _DEPTH):
+        levels = range(start, min(start + _DEPTH, len(order)))
+        pool = [line for i in levels for line in heads[i]]
+        live = [
+            f"live{i} = fate.verdicts({sum(1 << k for k in order[: i + 1])})"
+            for i in levels if prune and i < last
+        ]
+        args = params.get(start, [])
+        c = start // _DEPTH
+        funcs = [(f"_plan{c}", args + [f"i{start - 1}" if total else "src"] * bool(start),
+                  (unpack if start else head) + pool + live, nest(start, start, False))]
+        if prune and start:
+            funcs.append((f"_count{c}", args, ["pruned = 0", *pool], nest(start, start, True)))
+        for name, fparams, fhead, body in funcs:
+            text = "\n".join(fhead + body)
+            context = [f"    {x} = {value}" for x, value in _CONTEXT.items() if x in text]
+            src += [f"def {name}({', '.join([_HEAD, *fparams])}):", *context]
+            src += [f"    {line}" for line in fhead + body + ["return pruned"] * prune]
     return "\n".join(src) + "\n"
 
 
@@ -461,21 +530,26 @@ def _total(
     from ``scan`` (every graph edge when ``None``) when neither of its
     endpoints is a constant.  No two searches may find the same matching.
     Returns ``entry``'s fate table, or without one the one list every class
-    collects into.
+    collects into.  A fate whose ``pruned`` is an int, not None, runs the
+    pruning plans (``_plan_source``) and gets their counts added to it.
     """
     out: list[Matching] = []
     public = entry is None
     if public:  # every row enters at one empty snapshot, so every class is (0, 0)
         entry = ({}, 0, ((None, frozenset()),), defaultdict(lambda: out))
+    fate = entry[-1]
+    prune = getattr(fate, "pruned", None) is not None
     if all(c in g.nodes for c in p.constants):
         n, fills = len(p.node_vars), _fills(g, p)
         index = (g.by_src, g.by_dst, g.by_pair)
         for order, pools in searches:
             pooled = pools is not None
-            plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", ())
-            plan(g, index, [pools[j] for j in order] if pooled else None,
-                 g.edges if scan is None else scan, p.constants, None, fills, entry)
-    return out if public else entry[-1]
+            plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", (), prune)
+            pruned = plan(g, index, [pools[j] for j in order] if pooled else None,
+                          g.edges if scan is None else scan, p.constants, None, fills, entry)
+            if prune:
+                fate.pruned += pruned
+    return out if public else fate
 
 
 def match_total(g: TemporalGraph, p: Bgp, *, distinct_edges: bool = False, entry=None):

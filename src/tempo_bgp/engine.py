@@ -24,6 +24,12 @@ end-of-stream acceptance; the engines differ only in how rows enter:
 A new row's first step is taken inside the matcher's search, which looks
 its class up in a ``_Fate`` table the core fills; a class dying there is
 counted on entry, never built, and a total row it accepts is accepted there.
+Baseline's and on-demand's searches go further: before growing a prefix
+they ask the fate whether any completion can survive its first move,
+reading the initial state's transitions, guards ignored, against what the
+prefix fixes of the entry letter (``_Verdicts``), and only count the
+completions of a dead prefix.  This needs each edge's exact first snapshot
+index, which both pass.
 Every other new row joins the table holding the configurations it had
 before that letter, and the tick of its entry snapshot steps it with the
 live rows.  Rows are dropped once their configurations empty
@@ -101,8 +107,10 @@ class Counters:
 
     ``rows`` counts every configuration advanced by one letter, a class of
     rows at a time (its size times its configurations);
-    ``generated`` counts the matchings found (for partial, the rows
-    ``extend`` added, including those never built), ``early_rejected`` the
+    ``generated`` counts the matchings found, including those never built:
+    those of a class dying on its first move and those the join counted in
+    the subtrees it pruned (for partial, the rows ``extend`` added),
+    ``early_rejected`` the
     rows dropped before the end of the stream or refused on entry, and
     ``warnings`` the orders run unordered because they could not be
     verified.
@@ -213,6 +221,13 @@ class _Fate(dict):
     (after the last one).  The first move decides what ``_Core.join``
     settles on entry; the tick takes it again for the rows that join the
     table.
+
+    A fate of baseline or on-demand rows also prunes the join, unless the
+    initial state decides or the run is traced (every row is then built):
+    ``verdicts`` gives each plan level its ``_Verdicts`` table, and
+    ``pruned`` adds up the matchings counted in dead subtrees, which
+    ``_Core.enter`` books as a class that dies on its first move.  Else
+    ``pruned`` is None and the join files every matching.
     """
 
     def __init__(self, core: _Core, snapshots=None, t: float | None = None):
@@ -224,6 +239,19 @@ class _Fate(dict):
         self.decides = snapshots is not None and core.early_exit and (
             ta.initial in ta.early_accept or ta.initial in ta.early_reject
         )
+        # the matchings the join counted in pruned subtrees; None: it files them all
+        pruning = snapshots is not None and not self.decides and core.trace is None
+        self.pruned = 0 if pruning else None
+
+    def verdicts(self, mask: int) -> _Verdicts:
+        """The run's verdicts on the prefixes binding the edge variables of
+        ``mask``: every fate of a run reads one snapshot list (on-demand's
+        grows), whose snapshots never change, so the tables serve them all."""
+        tables = self.core.verdicts
+        table = tables.get(mask)
+        if table is None:
+            table = tables[mask] = _Verdicts(self.core, self.snapshots, mask)
+        return table
 
     def __missing__(self, key):
         core, (head, letter) = self.core, key
@@ -237,6 +265,43 @@ class _Fate(dict):
         keep = move is None or core.trace is not None or move[1] or move[2]
         value = self[key] = [] if keep else 0
         return value
+
+
+class _Verdicts(dict):
+    """Whether a prefix binding the edge variables of ``mask`` may have a
+    completion that survives its first move, by ``(i, bits)``: its entry
+    index so far and its edges' bits in ``snapshots[i][1]``.
+
+    A completion enters at ``i`` or earlier.  At ``i`` its letter agrees
+    with ``bits`` on ``mask``; earlier, no bound edge has appeared yet
+    (``first`` gives each edge's exact first snapshot index), so those bits
+    are 0 and the unbound edge entering there sets its own.  The prefix is
+    dead when no cube of the initial state whose target a first move keeps
+    admits either letter, guards ignored; the trailing entry, which is not
+    stepped, is always live.  Entries are filled as the plan meets them,
+    so no letter is enumerated.
+    """
+
+    def __init__(self, core: _Core, snapshots, mask: int):
+        super().__init__()
+        ta = core.ta
+        self.snapshots, self.mask = snapshots, mask
+        self.rest = (1 << ta.width) - 1 & ~mask
+        self.cubes = [
+            (care, value) for care, value, tr in ta._cubes[ta.initial]
+            if not core.early_exit or tr.dst not in ta.early_reject
+        ]
+
+    def __missing__(self, key):
+        i, bits = key
+        mask, rest = self.mask, self.rest
+        live = self.snapshots[i][0] is None or any(
+            not (value ^ bits) & care & mask
+            or i and not value & mask and (value | ~care) & rest
+            for care, value in self.cubes
+        )
+        self[key] = live
+        return live
 
 
 class _Core:
@@ -276,6 +341,8 @@ class _Core:
     for the whole run; one that reads a clock is made afresh every time,
     since guards and resets read the time (a class's first move is thus
     made in the matcher and again by the tick only when it reads a clock).
+    The join's prefix verdicts (``_Verdicts``) are likewise kept in
+    ``verdicts`` for the whole run.
     """
 
     def __init__(self, ta, early_exit, trace, defer_start=False):
@@ -288,6 +355,7 @@ class _Core:
         self.accepted: dict[Matching, float] = {}
         # every new row shares this set, as rows share the move table's
         self.seed = frozenset((ta.initial_config(),))
+        self.verdicts: dict[int, _Verdicts] = {}  # the join's, by bound variables
         self.matchings: list[Matching] = []
         self.groups: dict[Configs, int] = {}
         self.index: dict[str, dict[int, int]] = {}
@@ -311,6 +379,10 @@ class _Core:
         partial's configurations) to its classes."""
         counters, accepted, entering = self.counters, self.accepted, {}
         accepts = self.ta.initial in self.ta.early_accept
+        if fate.pruned:  # counted by the join in subtrees it pruned, never built
+            counters.generated += fate.pruned
+            counters.rows += fate.pruned * len(self.seed)
+            counters.early_rejected += fate.pruned
         for key, rows in fate.items():
             configs, letter, move = fate.classes[key]
             if rows.__class__ is int:  # they all die on their first move, never built

@@ -197,6 +197,31 @@ def test_plan_source_names_each_level_candidates():
         plan_source(p, order=("y1", "y2"))
 
 
+def test_a_lookup_from_one_constant_is_made_once():
+    # y2's only end bound at its level is the constant v1: its by_src lookup
+    # moves to the head beside y1's between the two constants, so the plan
+    # looks it up once, not once per edge of y1
+    p = parse_bgp(PATTERNS["constant_pair"])
+    src = plan_source(p)
+    head = src.split("\n    for ", 1)[0]
+    assert "    c1 = by_src.get(v2)\n    if c1 is None:\n        return\n" in head
+    assert src.count("by_src.get(") == 1
+    assert _loop_sources(src) == ["c0:", "c1:"]
+    g = build_graph(
+        {"v0": "n", "v1": "n", "x": "n"},
+        {"e1": ("v0", "v1", "e"), "e2": ("v0", "v1", "e"), "e3": ("v1", "x", "e"),
+         "e4": ("v1", "v0", "e")},
+        {},
+    )
+    counted = dataclasses.replace(
+        g, **{name: _Probes(getattr(g, name)) for name in ("by_src", "by_dst", "by_pair")}
+    )
+    _Probes.calls = 0
+    got = match_total(counted, p)
+    assert sorted(got) == oracle_match(g, p) and len(got) == 4
+    assert _Probes.calls == 2  # one by_pair and one by_src lookup
+
+
 def _line_graph(n_nodes):
     """A directed line ``v0 -> v1 -> ...``, edge ``e{i}`` active at ``i + 1``."""
     return build_graph(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import re
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -76,8 +76,10 @@ def test_every_generated_plan_parses_at_the_floor(mode):
         p = parse_bgp(text)
         slots, n = _slot_table(p), len(p.node_vars)
         for order, pooled, kind, bound in _searches(p, mode):
-            for distinct in (False, True):
-                src = _plan_source(slots, n, tuple(order), pooled, distinct, kind, tuple(bound))
+            # the engines' total searches also come in a pruning version
+            for distinct, prune in product((False, True), {False, kind == "total"}):
+                key = (tuple(order), pooled, distinct, kind, tuple(bound), prune)
+                src = _plan_source(slots, n, *key)
                 ast.parse(src, filename=f"<plan {name}>", feature_version=floor())
                 compile(src, f"<plan {name}>", "exec")
                 chained += "def _plan1(" in src
