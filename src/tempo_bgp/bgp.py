@@ -11,13 +11,15 @@ compiled once per process into a function of nested ``for`` loops, one
 per edge variable in binding order (``_plan_source``; ``plan_source``
 shows ``match_total``'s).  Each level's candidate index, and the label,
 self-loop, pool and distinct-edge tests it needs, are fixed when the
-code is written.  A level that follows one bound endpoint takes the far
-one from the index's ``(edge, far endpoint)`` pairs.  In the total and
-delta joins, a level that binds both ends of a later variable looks
-that variable up in ``by_pair`` at once and backtracks when the lookup
-is empty (the lookahead of Leapfrog Triejoin, Veldhuizen 2014), so no
-prefix is grown that cannot close; a lookup that the constants alone fix
-runs once, before the loops.  Every plan is fused with the first
+code is written.  One rule, ``_lookup``, picks a level's index from the
+endpoints bound before it: ``by_pair`` when both are bound, else
+``by_src`` or ``by_dst`` by the bound one, whose ``(edge, far endpoint)``
+pairs give the other end, else a scan.  In the total, delta and ordered
+plans the lookup runs as soon as its key is bound (the lookahead of
+Leapfrog Triejoin, Veldhuizen 2014): before the loops for constants and
+the extended row's bindings, else at the level binding the key's last
+endpoint.  In the total and delta joins an empty lookup backtracks, so
+no prefix is grown that cannot close.  Every plan is fused with the first
 automaton step: the innermost loop files each matching under its class
 in a fate table the caller fills, and never builds one whose class dies
 there.  Under an engine's fate the total and delta plans also prune:
@@ -39,10 +41,11 @@ to each fitting new edge first, then grows outward in a connected order,
 slots before the anchor taking only old edges and slots after it old or
 new ones, so each delta matching is built exactly once, at its first new
 slot.  ``extend`` is the one producer of partial matchings.  Its reach
-gate tests each row once against the endpoints of the new edges, so a
-row that no new edge can extend yields nothing and is never searched
-(under an order the test is a table lookup and at most one set test);
-each row that passes runs the plan of its bound variables, which reads
+gate is the first lookup of the plan a row would run, tested on one
+bound endpoint per variable against the endpoints of the new edges, so a
+row that no new edge can extend is never searched (under an order the
+test is a table lookup and at most one set test);
+each row that passes runs the plan of its unbound variables, which reads
 only an endpoint index of the new edges built once per call.  The
 declaration order of the edge variables is also the canonical bit order
 used by letter bitsets everywhere else in the package.
@@ -55,7 +58,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product, repeat
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import DuplicateIdError, FormatError, ReferentialError
 from .temporal_graph import TemporalGraph, endpoint_index
@@ -243,6 +246,17 @@ def _bits(js: Iterable[int], test: str) -> str:
     return " | ".join(f"({test.format(j)})" + f" << {j}" * (j > 0) for j in js) or "0"
 
 
+def _lookup(slot: _Slot, bound: Collection[int]) -> tuple[str, tuple[int, ...]] | None:
+    """The endpoint index an edge variable of ``slot`` is read from once the
+    node slots of ``bound`` are bound, and the slots of its key: ``by_pair``
+    when both ends are bound, else ``by_src`` or ``by_dst`` by the bound end,
+    else none (the level scans)."""
+    sa, sb = slot[:2]
+    if sa in bound:
+        return ("by_pair", (sa, sb)) if sb in bound else ("by_src", (sa,))
+    return ("by_dst", (sb,)) if sb in bound else None
+
+
 def _plan_source(
     slots: tuple[_Slot, ...],
     n: int,
@@ -250,7 +264,6 @@ def _plan_source(
     pooled: bool,
     distinct: bool,
     mode: str,
-    bound: tuple[int, ...],
     prune: bool = False,
 ) -> str:
     """Python source of one search, ``_plan0(g, index, pools, scan, consts, mu, fills, entry)``.
@@ -258,24 +271,25 @@ def _plan_source(
     The search binds the edge variables of ``order`` with one nested ``for``
     per variable, level ``i`` taking edges of ``pools[i]`` when ``pooled``.
     ``index`` holds the endpoint indices ``(by_src, by_dst, by_pair)`` that
-    the levels read.  A level with one bound endpoint reads the
-    ``(edge, far endpoint)`` pairs of ``by_src`` or ``by_dst`` and reads
-    ``g.edges`` only for an edge label; one with both bound reads
-    ``by_pair``; one with neither reads ``scan`` (only the first level under
-    mode "total"; later ones read every graph edge), which must hold only
-    edges of the level's pool.  Under "total" a level that binds both ends
-    of a later variable looks up that variable's ``by_pair`` candidates at
-    once and backtracks when there are none; the lookups that constants
-    alone fix, of a variable between two constants or of one whose only
-    end bound at its level is a constant, move to the head.  Node slots
-    from ``n`` on are ``consts``; under the extension modes the row ``mu``
-    binds the variables of ``bound`` and their endpoints.  Mode "total"
-    emits each total ``Matching``; "ordered" emits after every level;
-    "unordered" lets each level also leave its variable unbound, before
-    binding it, and emits when some level bound.  A matching binding every
-    edge variable is emitted once per fill, a tuple of ``fills`` holding
-    the isolated node slots in order.  Past ``_DEPTH`` levels the search
-    chains into a further function.
+    the levels read.  Node slots from ``n`` on are ``consts``; under the
+    extension modes the row ``mu`` binds every variable not in ``order``
+    and their endpoints.  Under "total" and "ordered" each level reads the
+    index ``_lookup`` chooses from the node slots bound before it, into a
+    local ``c{j}`` looked up as soon as its key is bound: in the head for
+    constants and the row's bindings, else at the level binding the key's
+    last slot.  An index of ``(edge, far endpoint)`` pairs binds the far
+    end without reading ``g.edges``.  An empty lookup backtracks under
+    "total" and reads as ``()`` under "ordered".  A level with no bound end
+    reads ``scan`` (only the first level under "total"; later ones read
+    every graph edge), which must hold only edges of the level's pool.
+    "Unordered" levels, whose ends are bound or not per binding, look up
+    their ``_candidates`` inline.  Mode "total" emits each total
+    ``Matching``; "ordered" emits after every level; "unordered" lets each
+    level also leave its variable unbound, before binding it, and emits
+    when some level bound.  A matching binding every edge variable is
+    emitted once per fill, a tuple of ``fills`` holding the isolated node
+    slots in order.  Past ``_DEPTH`` levels the search chains into a
+    further function.
 
     Each leaf files the matching under its class in ``fate``: an int
     counts it, unbuilt, and a list gets it.  Under "total", ``entry`` is
@@ -297,44 +311,27 @@ def _plan_source(
     """
     names: dict[int, str] = {}  # node slot -> the local holding its value
     dyn: set[str] = set()  # the locals that may hold None (unordered)
-    hoisted: dict[int, str] = {}  # edge variable -> the local holding its lookup
+    looked: dict[int, int] = {}  # level -> the level making its lookup, -1 for the head
     total = mode == "total"
     leave = "return 0" if prune else "return"
-
-    def hoist(lines: list[str], pad: str, later: Iterable[int], leave: str) -> None:
-        """Under "total", look up each variable of ``later`` whose ends are both bound now."""
-        for j in later if total else ():
-            sa, sb = slots[j][:2]
-            if j not in hoisted and sa in names and sb in names:
-                hoisted[j] = f"c{j}"
-                lines += [f"{pad}c{j} = by_pair.get(({names[sa]}, {names[sb]}))"]
-                lines += [f"{pad}if c{j} is None:", f"{pad}    {leave}"]
+    bound = tuple(j for j in range(len(slots)) if j not in order)
 
     head: list[str] = []
     for s in sorted({s for slot in slots for s in slot[:2] if s >= n}):
         names[s] = f"v{s}"
         head.append(f"v{s} = consts[{s - n}]")
-    hoist(head, "", order, leave)
-    reached = set(names)  # the node slots bound before each level
-    for j in order if total else ():
-        sa, sb = slots[j][:2]
-        if j not in hoisted and (sa in reached) != (sb in reached):
-            s, index = (sa, "by_src") if sa in reached else (sb, "by_dst")
-            if s >= n:  # its one bound end is a constant
-                hoisted[j] = f"c{j}"
-                head += [f"c{j} = {index}.get({names[s]})", f"if c{j} is None:", f"    {leave}"]
-        reached.update((sa, sb))
     for j in bound:
         head.append(f"e{j} = mu[0][{j}]")
         for s in slots[j][:2]:
             if s not in names:
                 names[s] = f"v{s}"
                 head.append(f"v{s} = mu[1][{s}]")
+    at = dict.fromkeys(names, -1)  # node slot -> the level binding it, -1 for the head
+    ahead: list[str] = []  # the lookups made in the head
     unpack = ["first, d, snapshots, fate = entry", "get = first.get"] if total else [
         "configs, S, fate = entry"
     ]
     unpack += ["pruned = 0"] * prune
-    head += unpack + [f"src = {_bits(bound, 'e{} in S')}"] * (not total)
     edges = [f"e{j}" if j in bound else "None" for j in range(len(slots))]
     isolated = sorted(set(range(n)).difference(s for slot in slots for s in slot[:2]))
 
@@ -365,22 +362,25 @@ def _plan_source(
     for i, j in enumerate(order):
         if i and i % _DEPTH == 0:
             params[i] = [*dict.fromkeys(names.values()), *(e for e in edges if e != "None")]
-            params[i] += [hoisted[k] for k in order[i:] if k in hoisted]
         sa, sb, want, label_a, label_b = slots[j]
-        a, b = names.get(sa), names.get(sb)
         ends = [(sa, "src", label_a)] + ([(sb, "dst", label_b)] if sb != sa else [])
         fresh = [end for end in ends if names.get(end[0]) is None or names[end[0]] in dyn]
         far = None  # the fresh endpoint an index of pairs binds
-        if mode == "unordered":
-            source = _candidates(a, b, dyn)
-        elif (a is None) != (b is None):
-            index = f"by_src.get({a}, ())" if a is not None else f"by_dst.get({b}, ())"
-            source = hoisted.get(j, index)
-            far = fresh[0][0]
-        elif j in hoisted:
-            source = hoisted[j]
-        elif a is not None:
-            source = f"by_pair.get(({a}, {b}), ())"
+        look = None if mode == "unordered" else _lookup(slots[j], names)
+        if look is not None:
+            index, key = look
+            where = looked[i] = max(at[s] for s in key)
+            lines, pad = (ahead, "") if where < 0 else (loops[where], "    ")
+            arg = names[key[0]] if len(key) == 1 else _tuple(names[s] for s in key)
+            if total:
+                lines += [f"{pad}c{j} = {index}.get({arg})", f"{pad}if c{j} is None:"]
+                lines.append(f"{pad}    {leave if where < 0 else 'continue'}")
+            else:
+                lines.append(f"{pad}c{j} = {index}.get({arg}, ())")
+            source = f"c{j}"
+            far = fresh[0][0] if index != "by_pair" else None
+        elif mode == "unordered":
+            source = _candidates(names.get(sa), names.get(sb), dyn)
         else:
             source = "scan" if not total or i == 0 else "g_edges"
         tests = [f"e{j} not in pool{i}"] if pooled and source != "scan" else []
@@ -398,6 +398,7 @@ def _plan_source(
             body = [f"for e{j}{f', v{far}' * (far is not None)} in {source}:"]
             inner = "    "
             names.update((s, f"v{s}") for s, _, _ in fresh)
+            at.update((s, i) for s, _, _ in fresh)
         mark = len(body)
         if tests:
             body += [f"{inner}if {' or '.join(tests)}:", f"{inner}    continue"]
@@ -412,7 +413,6 @@ def _plan_source(
             body += [f"{inner}if {' or '.join(checks)}:", f"{inner}    continue"]
         body += [f"{inner}pass"] * (len(body) == mark and mode == "unordered")
         lens.append(None if tests or checks else f"len({source})")
-        hoist(body, inner, order[i + 1:], "continue")
         loops.append(body)
         after = []
         if total:  # the entry index so far: the earliest first snapshot
@@ -424,6 +424,9 @@ def _plan_source(
             bits = sum(1 << k for k in order[: i + 1])
             after += leaf(i == len(order) - 1, f"src | {bits}")
         afters.append(after)
+    for i, args in params.items():  # a chained function takes the lookups made before it
+        args += [f"c{order[k]}" for k, where in looked.items() if where < i <= k]
+    head += ahead + unpack + [f"src = {_bits(bound, 'e{} in S')}"] * (not total)
     if total:
         final = leaf(True, _bits(range(len(slots)), "e{} in S"))
     elif mode == "unordered":
@@ -493,7 +496,7 @@ def plan_source(p: Bgp, order: Sequence[str] | None = None, distinct_edges: bool
     slots = _slot_table(p)
     n = len(p.node_vars)
     indices = _anchored_order(slots, n, 0) if order is None else order_indices(p, order)
-    return _plan_source(slots, n, tuple(indices), False, distinct_edges, "total", ())
+    return _plan_source(slots, n, tuple(indices), False, distinct_edges, "total")
 
 
 def _fills(g: TemporalGraph, p: Bgp) -> list[tuple[str, ...]]:
@@ -544,7 +547,7 @@ def _total(
         index = (g.by_src, g.by_dst, g.by_pair)
         for order, pools in searches:
             pooled = pools is not None
-            plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", (), prune)
+            plan = _plan(slots, n, tuple(order), pooled, distinct_edges, "total", prune)
             pruned = plan(g, index, [pools[j] for j in order] if pooled else None,
                           g.edges if scan is None else scan, p.constants, None, fills, entry)
             if prune:
@@ -632,46 +635,20 @@ def delta_match(
 # Partial matchings
 
 
-def _reachable(
-    slot: _Slot, nodes: Sequence[str | None], srcs: Collection[str], dsts: Collection[str]
-) -> bool:
-    """Whether a new edge may bind ``slot`` under ``nodes``: one leaving its
-    bound source, else one entering its bound target, else any."""
-    va, vb = nodes[slot[0]], nodes[slot[1]]
-    if va is not None:
-        return va in srcs
-    return vb is None or vb in dsts
-
-
-def _order_gate(
-    p: Bgp,
-    slots: tuple[_Slot, ...],
-    slot_order: list[int],
-    srcs: Collection[str],
-    dsts: Collection[str],
-) -> list[tuple[int, Collection[str]] | bool]:
-    """Per prefix length ``k``, whether a row binding ``slot_order[:k]`` can be extended.
-
-    An extension binds ``slot_order[k]`` first.  When the prefix or a
-    constant binds that variable's source, a new edge can fit only if it
-    leaves the bound node, so the entry is ``(node slot, srcs)``; else when
-    its target is bound, ``(node slot, dsts)``; else ``True``, every row is
-    tried.  A constant node's test has one answer for every row, so it is
-    made here; a total row (``k == width``) has nothing left to bind.
-    """
-    n = len(p.node_vars)
-    bound = set(range(n, n + len(p.constants)))
-    gate: list[tuple[int, Collection[str]] | bool] = []
-    for j in slot_order:
-        sa, sb = slots[j][:2]
-        reach: tuple[int, Collection[str]] | bool = (
-            (sa, srcs) if sa in bound else (sb, dsts) if sb in bound else True
-        )
-        if reach is not True and reach[0] >= n:
-            reach = p.constants[reach[0] - n] in reach[1]
-        gate.append(reach)
-        bound.update((sa, sb))
-    return gate + [False]
+def _gate(
+    slot: _Slot, bound: Collection[int], n: int, consts: Sequence[str],
+    srcs: Collection[str], dsts: Collection[str],
+) -> bool | tuple[int, Collection[str]]:
+    """Whether a new edge may bind a variable of ``slot`` first, once the node
+    slots of ``bound`` are bound: ``True`` when its plan level's first lookup
+    (``_lookup``) has no key, else the test of the key's first node slot
+    ``s``, ``(s, dsts)`` for ``by_dst`` and ``(s, srcs)`` otherwise, decided
+    here for a constant."""
+    look = _lookup(slot, bound)
+    if look is None:
+        return True
+    s, side = look[1][0], dsts if look[0] == "by_dst" else srcs
+    return (s, side) if s < n else consts[s - n] in side
 
 
 def extend(
@@ -698,36 +675,41 @@ def extend(
     variables.
 
     A reach gate skips, before the row is searched, each row that no new
-    edge can extend.  The first variable an extension binds (the
-    lowest-numbered one, or under an order the order's next one) sees
-    only the row's own bindings, so a new edge must leave the row's node
-    bound to its source, else enter the one bound to its target, unless
-    both are unbound.  ``_order_gate`` tabulates this test by prefix
-    length; without an order, the row is tried when some unbound variable
-    passes it.  A row that passes runs the compiled plan of its bound
-    variables (one per prefix length under an order, per set of unbound
-    variables without one): under an order it emits after each level;
-    without one, each unbound variable is first left unbound, then bound
-    to each fitting edge, in declaration order.  The plans read only the
-    endpoint indices of the new edges (``endpoint_index``), built once per
-    call in graph order, whose keys are also the gate's ``srcs`` and
-    ``dsts``; variables with both endpoints unbound draw from the new
-    edges in graph order.  With ``entry = (snap, fate)``,
-    ``states_matchings`` maps configuration sets to their rows, and
-    extensions are filed by class in ``fate`` (``_plan_source``), which is
-    returned instead of the pairs.
+    edge can extend.  The first variable an extension binds (any unbound
+    one, or under an order the order's next one) sees only the row's own
+    bindings, so the first lookup of its plan level (``_gate``) must find a
+    new edge.  Under an order the gate is one entry per prefix length, a
+    row's node tested against ``srcs`` or ``dsts`` at most once; without
+    one, each set of unbound variables gets its tests once per call.  A
+    row that passes runs the compiled plan of its unbound variables (one
+    per prefix length under an order, per set of unbound variables without
+    one): under an order it emits after each level; without one, each
+    unbound variable is first left unbound, then bound to each fitting
+    edge, in declaration order.  The plans read only the endpoint indices
+    of the new edges (``endpoint_index``), built once per call in graph
+    order, whose keys are also the gate's ``srcs`` and ``dsts``; variables
+    with both endpoints unbound draw from the new edges in graph order.
+    With ``entry = (snap, fate)``, ``states_matchings`` maps configuration
+    sets to their rows, and extensions are filed by class in ``fate``
+    (``_plan_source``), which is returned instead of the pairs.
     """
     scan = _graph_order(g, set(new_edges))
     index = endpoint_index((e, g.edges[e]) for e in scan)
     srcs, dsts = index[0].keys(), index[1].keys()
     slots = _slot_table(p)
     n, width = len(p.node_vars), p.width
+    consts, fills = p.constants, _fills(g, p)
+    mode = "unordered" if order is None else "ordered"
     if order is None:
         slot_order = gate = None
     else:
         slot_order = order_indices(p, order)
-        gate = _order_gate(p, slots, slot_order, srcs, dsts)
-    consts, fills = p.constants, _fills(g, p)
+        gate, bound = [], set(range(n, n + len(consts)))
+        for j in slot_order:  # per prefix length: True, False or one (node slot, side) test
+            gate.append(_gate(slots[j], bound, n, consts, srcs, dsts))
+            bound.update(slots[j][:2])
+        gate.append(False)  # a total row has nothing left to bind
+    reaches: dict[tuple[int, ...], Literal[True] | list[tuple[int, Collection[str]]]] = {}
     plans: dict[object, Callable[..., None]] = {}
     pairs: list[tuple[Matching, Matching]] = []
     out: list[Matching] = []
@@ -739,27 +721,30 @@ def extend(
         held = (configs, *entry)
         for mu in rows:
             if gate is None:
-                todo = [j for j, e in enumerate(mu.edges) if e is None]
-                values = mu.nodes + consts
-                if not any(_reachable(slots[j], values, srcs, dsts) for j in todo):
-                    continue
-                key: object = tuple(todo)
+                todo = key = tuple(j for j, e in enumerate(mu.edges) if e is None)
+                tests = reaches.get(key)
+                if tests is None:  # True when some variable passes every row, else the tests
+                    bound = {s for j in range(width) if j not in todo for s in slots[j][:2]}
+                    bound.update(range(n, n + len(consts)))
+                    tests = [_gate(slots[j], bound, n, consts, srcs, dsts) for j in todo]
+                    tests = reaches[key] = True in tests or [t for t in tests if t]
+                if tests is not True:
+                    for s, side in tests:
+                        if mu.nodes[s] in side:
+                            break
+                    else:
+                        continue
             else:
-                k = width - mu.edges.count(None)  # the prefix length, if mu binds a prefix
-                reach = gate[k]
+                key = width - mu.edges.count(None)  # the prefix length, if mu binds a prefix
+                reach = gate[key]
                 if reach is False or (reach is not True and mu.nodes[reach[0]] not in reach[1]):
                     continue
-                todo = slot_order[k:]
+                todo = slot_order[key:]
                 if any(mu.edges[j] is not None for j in todo):
                     continue  # mu itself is not a prefix; nothing to generate
-                key = k
             plan = plans.get(key)
             if plan is None:
-                bound = tuple(j for j in range(width) if j not in todo)
-                mode = "unordered" if gate is None else "ordered"
-                plan = plans[key] = _plan(
-                    slots, n, tuple(todo), False, distinct_edges, mode, bound
-                )
+                plan = plans[key] = _plan(slots, n, tuple(todo), False, distinct_edges, mode)
             plan(g, index, None, scan, consts, mu, fills, held)
             if public:
                 pairs += zip(repeat(mu), out)

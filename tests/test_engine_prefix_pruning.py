@@ -220,7 +220,7 @@ def test_a_last_level_without_tests_is_counted_by_its_length():
         p = parse_bgp(text)
         slots, n = _slot_table(p), len(p.node_vars)
         return _plan_source(slots, n, tuple(_anchored_order(slots, n, 0)), False, False,
-                            "total", (), True)
+                            "total", True)
 
     src = pruning_plan("node x1\nnode x2\nnode x3\nnode x4\nedge y1 : x1 -> x2\n"
                        "edge y2 : x2 -> x3\nedge y3 : x3 -> x4\nedge y4 : x4 -> x1\n")

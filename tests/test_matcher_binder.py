@@ -158,9 +158,11 @@ def test_match_total_work_does_not_follow_declaration_order():
         "edge y1 : x1 -> x2\nedge y2 : x2 -> x3\nedge y3 : x3 -> x4\n"
     )
     work = []
-    for p in (connected, parse_bgp(PATTERNS["path3_disconnected_declared"])):
-        sources = _loop_sources(plan_source(p))
-        assert sources[0] == "scan:" and all(s.startswith("by_") for s in sources[1:]), sources
+    for p, want in (
+        (connected, ["scan:", "c1:", "c2:"]),
+        (parse_bgp(PATTERNS["path3_disconnected_declared"]), ["scan:", "c2:", "c1:"]),
+    ):
+        assert _loop_sources(plan_source(p)) == want
         _Probes.calls = 0
         assert len(match_total(counted, p)) > 100
         work.append(_Probes.calls)
@@ -168,23 +170,23 @@ def test_match_total_work_does_not_follow_declaration_order():
 
 
 def test_plan_source_names_each_level_candidates():
-    # a level with one bound endpoint unpacks (edge, far endpoint) pairs; the
-    # closing variable iterates the lookup the level binding its last end made
+    # every keyed level iterates a local looked up at the level binding its
+    # key's last slot: a level with one bound endpoint unpacks (edge, far
+    # endpoint) pairs, and the closing variable iterates a by_pair lookup
     p = shape_bgp("cycle4")
     src = plan_source(p)
     compile(src, "<plan>", "exec")
-    assert _loop_sources(src) == [
-        "scan:", "by_src.get(v1, ()):", "by_src.get(v2, ()):", "c3:"
-    ]
-    assert "for e1, v2 in by_src.get(v1, ()):" in src
+    assert _loop_sources(src) == ["scan:", "c1:", "c2:", "c3:"]
+    assert "        c1 = by_src.get(v1)\n        if c1 is None:\n            continue\n" in src
+    assert "for e1, v2 in c1:" in src
     assert "c3 = by_pair.get((v3, v0))" in src
     assert src.count("g_edges[") == 1  # only the scan level reads an edge
     src = plan_source(p, order=("y2", "y1", "y3", "y4"), distinct_edges=True)
     compile(src, "<plan>", "exec")
-    assert _loop_sources(src) == [
-        "scan:", "by_dst.get(v1, ()):", "by_src.get(v2, ()):", "c3:"
-    ]
-    assert "for e0, v0 in by_dst.get(v1, ()):" in src
+    assert _loop_sources(src) == ["scan:", "c0:", "c2:", "c3:"]
+    # y1 and y3 both hang off y2's ends, so both are looked up at its level
+    assert "        c0 = by_dst.get(v1)\n" in src and "        c2 = by_src.get(v2)\n" in src
+    assert "for e0, v0 in c0:" in src
     assert "if e3 == e0 or e3 == e1 or e3 == e2:" in src
     # disconnected, a later level reads every graph edge, and the two
     # variables closing the cycle are both looked up there
@@ -220,6 +222,23 @@ def test_a_lookup_from_one_constant_is_made_once():
     got = match_total(counted, p)
     assert sorted(got) == oracle_match(g, p) and len(got) == 4
     assert _Probes.calls == 2  # one by_pair and one by_src lookup
+
+
+def test_a_lookup_is_made_where_its_key_is_bound():
+    # y2 and y3 hang off x, which y1 binds: both are looked up once per y1
+    # edge, at y1's level, not y3's once per y2 edge as well
+    g = generate_graph(GenSpec(12, 0.5, 0.5, 5, seed=1))
+    counted = dataclasses.replace(
+        g, **{name: _Probes(getattr(g, name)) for name in ("by_src", "by_dst", "by_pair")}
+    )
+    p = parse_bgp(
+        "node x\nnode a\nnode b\nnode c\n"
+        "edge y1 : x -> a\nedge y2 : x -> b\nedge y3 : x -> c\n"
+    )
+    _Probes.calls = 0
+    got = match_total(counted, p)
+    assert _Probes.calls == 2 * g.n_edges == 138
+    assert sorted(got) == oracle_match(g, p)
 
 
 def _line_graph(n_nodes):
