@@ -45,19 +45,20 @@ carries many runs in one machine word.  A row that joins the table
 becomes a bit position; rows holding equal configuration sets form
 a group, and an index ``edge -> {slot: rows binding it there}`` splits a
 group into letter classes at every tick.  Each ``(configs, letter)`` class
-moves once, through ``_Core.move``: the stepped set, the set early exit
-keeps, whether the stepped set touches an early-accept state and whether
-the kept set rests (lies in ``TimedAutomaton.idle``, where an empty letter
-changes nothing).  A move whose states enable no guarded or resetting
-transition on its letter (``TimedAutomaton.reads_clock``) does not read
-the time, so it is tabled for the whole run, a lazy subset construction;
-any other move holds only at its own timepoint, so it is made afresh.  A
-clockless automaton's moves are thus all tabled.  A tick on which no row
-binds an edge of the snapshot while every group rests only counts.
-Acceptance stays per row, since a partial matching touching an
-early-accept state is filtered instead.  Tracing changes no step; a
-traced run also builds the rows that die on their first letter, and they
-join the table so that the tick records them.
+moves once, read from the run's table ``_Core.moves`` or, on a miss, made
+by ``_Core.move``: the stepped set, the set early exit keeps, whether the
+stepped set touches an early-accept state and whether the kept set rests
+(lies in ``TimedAutomaton.idle``, where an empty letter changes nothing).
+A move whose states enable no guarded or resetting transition on its
+letter (``TimedAutomaton.reads_clock``) does not read the time, so it is
+tabled for the whole run, a lazy subset construction; any other move holds
+only at its own timepoint, so it is made afresh.  A clockless automaton's
+moves are thus all tabled.  A tick on which no row binds an edge of the
+snapshot while every group rests only counts.  Acceptance stays per row,
+since a partial matching touching an early-accept state is filtered
+instead.  Tracing changes no step; a traced run also builds the rows that
+die on their first letter, and they join the table so that the tick
+records them.
 
 Streams are checked: timepoints must be positive, finite and strictly
 increasing (``FormatError``) and edges known to the graph (``ReferentialError``).
@@ -335,12 +336,16 @@ class _Core:
     ids in ``groups``; the live rows are then renumbered from 0.
     ``_admit`` is the one place a row gets an id.
 
-    ``move`` is the one move lookup, for the matcher's first moves, the
-    tick and on-demand's ``catch_up``, which walks each caught-up row on its
-    own.  A move that reads no clock is kept in ``moves``, keyed by value,
-    for the whole run; one that reads a clock is made afresh every time,
-    since guards and resets read the time (a class's first move is thus
-    made in the matcher and again by the tick only when it reads a clock).
+    ``move`` is the one rule that makes a move and decides whether to table
+    it, for the matcher's first moves, the tick and on-demand's
+    ``catch_up``, which walks each caught-up row on its own.  A move that
+    reads no clock is kept in ``moves``, keyed by value, for the whole run;
+    one that reads a clock is made afresh every time, since guards and
+    resets read the time (a class's first move is thus made in the matcher
+    and again by the tick only when it reads a clock).  The tick and the
+    walk read ``moves`` inline and call ``move`` only on a miss, so a tabled
+    move costs no call.  ``_move`` makes a move through ``step``, which
+    reads the automaton's compiled arcs.
     The join's prefix verdicts (``_Verdicts``) are likewise kept in
     ``verdicts`` for the whole run.
     """
@@ -450,7 +455,8 @@ class _Core:
         for slots in hits:
             for bit, ids in slots.items():
                 masks[bit] = masks.get(bit, 0) | ids
-        accepted, trace, move_of, matchings = self.accepted, self.trace, self.move, self.matchings
+        accepted, trace, matchings = self.accepted, self.trace, self.matchings
+        moves, move_of = self.moves, self.move
         groups: dict[Configs, int] = {}
         resting: int | None = 0
         stepped = rejected = live = 0
@@ -469,7 +475,10 @@ class _Core:
                             split.append((letter, cls))
                     classes = split
             for letter, cls in classes:
-                nxt, kept, touches_accept, rests = move_of(configs, letter, t)
+                move = moves.get((configs, letter))
+                if move is None:
+                    move = move_of(configs, letter, t)
+                nxt, kept, touches_accept, rests = move
                 n = cls.bit_count()
                 stepped += n * len(configs)
                 if touches_accept and (won := cls & self.total):
@@ -522,10 +531,20 @@ class _Core:
         nxt = frozenset(step(ta, configs, letter, t))
         kept, touches_accept = nxt, False
         if self.early_exit and nxt:
-            touches_accept = any(s in ta.early_accept for s, _ in nxt)
-            if ta.early_reject:
-                kept = frozenset(c for c in nxt if c[0] not in ta.early_reject)
-        return nxt, kept, touches_accept, all(s in ta.idle for s, _ in kept)
+            early_accept, early_reject = ta.early_accept, ta.early_reject
+            dropped = []
+            for config in nxt:
+                if config[0] in early_accept:  # an early-accept state is never early-reject
+                    touches_accept = True
+                elif config[0] in early_reject:
+                    dropped.append(config)
+            if dropped:
+                kept = nxt.difference(dropped)
+        idle = ta.idle
+        for s, _ in kept:
+            if s not in idle:
+                return nxt, kept, touches_accept, False
+        return nxt, kept, touches_accept, True
 
     def _admit(self, rows: dict[Configs, list[Matching]]) -> None:
         """Give ``rows`` ids, one block of consecutive ids per configuration set;
@@ -588,7 +607,8 @@ class _Core:
         ended.
         """
         end = len(past) - 1
-        counters, accepted, move_of, trace = self.counters, self.accepted, self.move, self.trace
+        counters, accepted, trace = self.counters, self.accepted, self.trace
+        moves, move_of = self.moves, self.move
 
         def walk(m, move, i) -> Configs | None:
             """Walk ``m`` on from its ``move`` at ``past[i]`` to the current
@@ -624,7 +644,10 @@ class _Core:
                     if trace is not None:
                         trace.add_event(m, t, configs, None)
                     return configs
-                move = move_of(configs, letter if i == event else 0, past[i][0])
+                read = letter if i == event else 0
+                move = moves.get((configs, read))
+                if move is None:
+                    move = move_of(configs, read, past[i][0])
                 counters.rows += len(configs)
 
         survivors: dict[Configs, list[Matching]] = {}

@@ -13,7 +13,10 @@ cube grouped by source state.  Discrete moves are read from one move
 table, ``(state, letter) -> transitions``, filled on first use, so wide
 automata never enumerate their letters.  Each entry is marked by whether
 it reads a clock: a move whose enabled transitions carry no guard and no
-reset does not depend on the time.
+reset does not depend on the time.  Each entry is also compiled, when it
+is filled, into arcs ``(dst, guard, resets)`` whose guard atoms hold their
+comparator functions, so ``step`` checks a guard as plain clock
+constraints without reading a ``Transition`` or looking a comparator up.
 
 Letter predicates that are not a single cube (XOR and friends) are spelled
 as several transition rows, one per pattern, exactly as in the relational
@@ -27,13 +30,15 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .bgp import Bgp, order_indices
 from .errors import FormatError
 
 Config = tuple[int, tuple[float, ...]]
 GuardAtom = tuple[int, str, float]
+# a transition compiled for ``step``: (dst, ((clock, comparator, bound), ...), resets)
+Arc = tuple[int, tuple[tuple[int, Callable[[float, float], bool], float], ...], tuple[int, ...]]
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -63,7 +68,11 @@ def _pattern_mask_value(pattern: str) -> tuple[int, int]:
 
 
 def eval_clock_guard(guard: Iterable[GuardAtom], last_reset: Sequence[float], now: float) -> bool:
-    """Conjunction of ``(now - last_reset[c]) op bound`` over the atoms."""
+    """Conjunction of ``(now - last_reset[c]) op bound`` over the atoms.
+
+    This reads a ``Transition``'s guard as written; ``step`` reads the
+    compiled arcs instead, and this stays the reference it is tested against.
+    """
     for clock, op, bound in guard:
         if not _OPS[op](now - last_reset[clock], bound):
             return False
@@ -80,7 +89,9 @@ class TimedAutomaton:
     state is even optimistically reachable.  Both are therefore sound
     under-approximations.  ``reads_clock`` marks each filled entry of the
     move table, ``(state, letter) -> bool``, by whether one of its
-    transitions has a guard or a reset.  ``idle`` holds the states whose
+    transitions has a guard or a reset, and ``arcs`` holds the entry's
+    transitions compiled for ``step``: ``(dst, ((clock, comparator, bound),
+    ...), resets)``, in declaration order.  ``idle`` holds the states whose
     moves on the all-zero letter exist, read no clock and are self-loops: an
     empty letter leaves a configuration there unchanged, clocks included,
     so runs resting in idle states may skip empty letters.  ``dead_start``
@@ -108,9 +119,10 @@ class TimedAutomaton:
         self._cubes: list[list[tuple[int, int, Transition]]] = [[] for _ in range(n_states)]
         for tr in self.transitions:
             self._cubes[tr.src].append((*_pattern_mask_value(tr.pattern), tr))
-        # the move table and its marks, filled together by transitions_from
+        # the move table, its marks and its arcs, filled together by transitions_from
         self._moves: dict[tuple[int, int], tuple[Transition, ...]] = {}
         self.reads_clock: dict[tuple[int, int], bool] = {}
+        self.arcs: dict[tuple[int, int], tuple[Arc, ...]] = {}
 
         self.early_accept, self.early_reject = classify_states(self)
         self.idle = frozenset(
@@ -151,13 +163,18 @@ class TimedAutomaton:
 
         A first call also fills ``reads_clock[state, letter]``: whether one of
         them has a guard or a reset, that is, whether a move from ``state``
-        on ``letter`` reads the time.
+        on ``letter`` reads the time; and ``arcs[state, letter]``, the same
+        transitions compiled for ``step``.
         """
         moves = self._moves.get((state, letter))
         if moves is None:
             moves = tuple(tr for mask, value, tr in self._cubes[state] if letter & mask == value)
             self._moves[state, letter] = moves
             self.reads_clock[state, letter] = any(tr.guard or tr.resets for tr in moves)
+            self.arcs[state, letter] = tuple(
+                (tr.dst, tuple((c, _OPS[op], bound) for c, op, bound in tr.guard), tr.resets)
+                for tr in moves
+            )
         return moves
 
     def initial_config(self) -> Config:
@@ -167,23 +184,30 @@ class TimedAutomaton:
 def step(ta: TimedAutomaton, configs: Iterable[Config], letter: int, now: float) -> set[Config]:
     """One synchronous move of every configuration on ``letter`` at ``now``.
 
-    The guard is evaluated against pre-reset clock values; clocks in the
-    reset set are then stamped with ``now``.  An empty result means every
-    run died.
+    Reads the automaton's arcs for each ``(state, letter)``, filling the
+    move table on a first visit.  The guard is evaluated against pre-reset
+    clock values; clocks in the reset set are then stamped with ``now``.
+    An empty result means every run died.
     """
     out: set[Config] = set()
-    n_clocks = ta.n_clocks
+    arcs_of = ta.arcs
     for state, last_reset in configs:
-        for tr in ta.transitions_from(state, letter):
-            if tr.guard and not eval_clock_guard(tr.guard, last_reset, now):
-                continue
-            if tr.resets:
-                nxt = tuple(
-                    now if c in tr.resets else last_reset[c] for c in range(n_clocks)
-                )
+        arcs = arcs_of.get((state, letter))
+        if arcs is None:
+            ta.transitions_from(state, letter)
+            arcs = arcs_of[state, letter]
+        for dst, guard, resets in arcs:
+            for clock, holds, bound in guard:
+                if not holds(now - last_reset[clock], bound):
+                    break
             else:
-                nxt = last_reset
-            out.add((tr.dst, nxt))
+                if resets:
+                    stamps = list(last_reset)
+                    for clock in resets:
+                        stamps[clock] = now
+                    out.add((dst, tuple(stamps)))
+                else:
+                    out.add((dst, last_reset))
     return out
 
 

@@ -204,6 +204,8 @@ def test_width_24_automata_construct_and_answer():
     noise = [(float(t), rng.randint(0, (1 << wide) - 1)) for t in range(1, 50)]
     assert accepts(anything, noise)
     # only the (state, letter) pairs actually read, the zero letters that
-    # idle reads included, are in the move tables
+    # idle reads included, are in the move tables and their arcs
     assert len(anything._moves) <= len(noise) + 1
     assert len(ring._moves) <= 2 * wide + 1
+    assert anything.arcs.keys() == anything._moves.keys()
+    assert ring.arcs.keys() == ring._moves.keys()

@@ -6,7 +6,8 @@ row.  A move that reads no clock is kept in the table ``(configs, letter)
 -> move`` for the whole run, clocked automaton or not; one whose states
 enable a guarded or resetting transition on its letter holds only at its
 own timepoint, since guards and resets read the time, so it is made afresh
-and never kept.
+and never kept; still, the automaton compiles the transitions a state
+enables on a letter once, so a fresh move reads no ``Transition``.
 What a move cannot know stays per row: a partial matching touching an
 early-accept state is filtered, never accepted.
 """
@@ -61,6 +62,25 @@ def test_equal_moves_are_stepped_once(name, spec, shape, automaton, monkeypatch)
     res = ENGINES[name](g, p, ta)
     assert res.counters.rows > 1000
     assert calls[0] <= res.counters.rows / 10, (calls[0], res.counters.rows)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_each_state_reads_its_transitions_on_a_letter_once(name):
+    # clocked moves are made afresh at every tick, but the transitions a
+    # state enables on a letter are compiled into arcs once, on first use
+    g = generate_graph(GenSpec(10, 0.5, 0.3, 100, seed=7))
+    p, ta = shape_bgp("path2"), load_ta("ta7")
+    filled = ta.transitions_from
+    calls = []
+
+    def counting_transitions_from(state, letter):
+        calls.append((state, letter))
+        return filled(state, letter)
+
+    ta.transitions_from = counting_transitions_from
+    res = ENGINES[name](g, p, ta)
+    assert res.counters.rows > 1000
+    assert calls and len(calls) == len(set(calls)), (len(calls), len(set(calls)))
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])

@@ -16,8 +16,10 @@ from tempo_bgp import (
     parse_automaton,
     step,
 )
-from tempo_bgp.timed_automaton import TimedAutomaton, Transition
+from tempo_bgp.rng import SplitMix64
+from tempo_bgp.timed_automaton import _OPS, TimedAutomaton, Transition
 from tempo_bgp.workbench import shape_bgp
+from test_automaton_cubes import random_pattern
 from test_engine_parking import random_clocked_automaton, reference_idle
 
 
@@ -118,6 +120,105 @@ def test_reads_clock_marks_the_moves_a_guard_or_reset_reads(seed):
                 marked += want
         assert ta.reads_clock.keys() == ta._moves.keys()
     assert marked > 0
+
+
+def random_multiclock_automaton(seed: int) -> TimedAutomaton:
+    """Two or three clocks, guards over all four comparators, resets of
+    several clocks at once, guards on clocks the same transition resets."""
+    rng = SplitMix64(seed)
+    n_states, width, n_clocks = rng.randint(1, 4), rng.randint(1, 3), rng.randint(2, 3)
+    transitions = []
+    for _ in range(rng.randint(2, 12)):
+        guard = tuple(
+            (rng.randint(0, n_clocks - 1), rng.choice(sorted(_OPS)), float(rng.randint(0, 3)))
+            for _ in range(rng.randint(0, 2))
+        )
+        resets = tuple(sorted({rng.randint(0, n_clocks - 1) for _ in range(rng.randint(0, 3))}))
+        src, dst = rng.randint(0, n_states - 1), rng.randint(0, n_states - 1)
+        transitions.append(Transition(src, random_pattern(rng, width), guard, resets, dst))
+    accepting = {s for s in range(n_states) if rng.random() < 0.5} or {0}
+    return TimedAutomaton(n_states, 0, accepting, n_clocks, width, transitions)
+
+
+def hand_compiled(transitions):
+    return tuple(
+        (tr.dst, tuple((clock, _OPS[op], bound) for clock, op, bound in tr.guard), tr.resets)
+        for tr in transitions
+    )
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 60))
+def test_arcs_compile_each_move_table_entry(seed):
+    # the arcs fill with the move table and its marks, never ahead of them
+    automata = [random_clocked_automaton(s) for s in range(seed, seed + 60)]
+    automata += [random_multiclock_automaton(s) for s in range(seed, seed + 60)]
+    for ta in automata:
+        assert ta.arcs.keys() == ta._moves.keys() == ta.reads_clock.keys()
+        for state in range(ta.n_states):
+            for letter in range(1 << ta.width):
+                ta.transitions_from(state, letter)
+        assert ta.arcs.keys() == ta._moves.keys() == ta.reads_clock.keys()
+        assert len(ta.arcs) == ta.n_states << ta.width
+        for key, moves in ta._moves.items():
+            assert ta.arcs[key] == hand_compiled(moves), key
+
+
+def reference_step(ta: TimedAutomaton, configs, letter: int, now: float) -> set:
+    """The stepper as written before the arc table: every ``Transition`` whose
+    pattern admits ``letter``, its guard read by ``eval_clock_guard`` on the
+    pre-reset stamps."""
+    out = set()
+    for state, last_reset in configs:
+        for tr in ta.transitions:
+            if tr.src != state or not letter_admits(tr.pattern, letter):
+                continue
+            if tr.guard and not eval_clock_guard(tr.guard, last_reset, now):
+                continue
+            nxt = tuple(now if c in tr.resets else last_reset[c] for c in range(ta.n_clocks))
+            out.add((tr.dst, nxt))
+    return out
+
+
+def letter_admits(pattern: str, letter: int) -> bool:
+    return all(ch == "*" or int(ch) == letter >> j & 1 for j, ch in enumerate(pattern))
+
+
+def reference_accepts(ta: TimedAutomaton, word) -> bool:
+    configs = {ta.initial_config()}
+    for t, letter in word:
+        configs = reference_step(ta, configs, letter, t)
+        if not configs:
+            return False
+    return any(state in ta.accepting for state, _ in configs)
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 50))
+def test_step_and_accepts_agree_with_the_reference_stepper(seed):
+    rng = SplitMix64(seed)
+    at_bound = {op: 0 for op in _OPS}  # guard atoms read exactly at their bound
+    stamps = (0.0, 0.5, 1.0, 2.0, 3.5)
+    for ta in (random_multiclock_automaton(s) for s in range(seed, seed + 50)):
+        for _ in range(30):
+            configs = set()
+            for _ in range(rng.randint(0, 4)):
+                last_reset = tuple(rng.choice(stamps) for _ in range(ta.n_clocks))
+                configs.add((rng.randint(0, ta.n_states - 1), last_reset))
+            letter = rng.randint(0, (1 << ta.width) - 1)
+            # a stamp plus a guard bound, or half a unit either side
+            now = rng.choice(stamps) + rng.randint(0, 3) + rng.choice((-0.5, 0.0, 0.5))
+            assert step(ta, configs, letter, now) == reference_step(ta, configs, letter, now)
+            for state, last_reset in configs:
+                for tr in ta.transitions:
+                    if tr.src == state and letter_admits(tr.pattern, letter):
+                        for clock, op, bound in tr.guard:
+                            at_bound[op] += now - last_reset[clock] == bound
+        for _ in range(10):
+            word, t = [], 0.0
+            for _ in range(rng.randint(0, 8)):
+                t += rng.choice((0.5, 1.0, 1.5, 2.0, 3.0))
+                word.append((t, rng.randint(0, (1 << ta.width) - 1)))
+            assert accepts(ta, word) == reference_accepts(ta, word), (word, ta.transitions)
+    assert all(at_bound.values()), at_bound
 
 
 VALID = "states 2\ninitial 0\naccepting 0\nclocks 1\ntrans 0 00 c0<3 0 1\n"
