@@ -26,8 +26,13 @@ there.  Under an engine's fate the total and delta plans also prune:
 after every level but the last, a verdict table the fate fills from the
 initial state's transitions says whether some completion of the prefix
 can survive its first move, and a dead prefix's completions are only
-counted, never filed.  The verdict holds only when ``first`` gives each
-edge's exact first snapshot index, as baseline and on-demand pass it.
+counted, never filed: once per value of the node slots the later levels'
+lookups read, where those leave a bound slot out.  The verdict holds only
+when ``first`` gives each edge's exact first snapshot index, as baseline
+and on-demand pass it.  Under an engine's fate ``extend``'s ordered plans
+prune likewise: every edge they bind is new, so a row's deeper classes
+are known, and a tail whose every class dies on its first move is
+counted into one of them.
 Node slots are the node variables, then one slot per constant;
 once every edge variable is bound, one matching is filed per fill, an
 assignment of the isolated node variables handed to the plan at run
@@ -299,15 +304,23 @@ def _plan_source(
     fate)`` and the class ``(configs, letter)``: new edges are all in the
     snapshot ``S``, so the letter is ``mu``'s bits in ``S`` OR those bound now.
 
-    With ``prune`` (mode "total" only), every level but the last asks
-    ``fate.verdicts(mask)``, the table of the prefixes binding the
+    With ``prune`` (modes "total" and "ordered"), a dead prefix's
+    completions are only counted.  Under "total" every level but the last
+    asks ``fate.verdicts(mask)``, the table of the prefixes binding the
     variables of ``mask``, whether its prefix may live: the key is ``(i,
     bits)``, ``i`` the prefix's entry index and ``bits`` its edges' bits in
-    ``snapshots[i][1]``.  A dead prefix's completions are only counted: the
-    remaining levels run with the same sources and tests, no fold and no
-    verdict, each leaf adding its fills to a local count (a last level
-    without tests adds the length of its candidates), and the search
-    returns the count, the chained functions theirs.
+    ``snapshots[i][1]``.  Under "ordered" a level whose next level has
+    candidates asks, once per call, whether every deeper class ``(configs,
+    src | bits)`` is an int, one dying on its first move.  The count runs
+    the remaining levels with the same sources and tests, no fold and no
+    verdict, adding each leaf's fills (under "ordered" also 1 per shallower
+    extension; a last level without tests adds the length of its
+    candidates) to a local count.  Its value depends only on the node
+    slots the later lookups' keys read, and on the bound edges under
+    ``distinct``; when those leave out a slot bound in the function, it is
+    kept per key in a ``memo{i}`` dict local to the call.  A "total" search
+    returns the count, the chained functions theirs; an "ordered" one adds
+    it to its deepest class, which then dies on its first move too.
     """
     names: dict[int, str] = {}  # node slot -> the local holding its value
     dyn: set[str] = set()  # the locals that may hold None (unordered)
@@ -358,6 +371,8 @@ def _plan_source(
     afters: list[list[str]] = []
     heads: list[list[str]] = []  # per level: its lines in its function's head
     lens: list[str | None] = []  # per level: its candidates' count, when it tests none
+    sources: list[str] = []  # per level: its candidates
+    reads: list[tuple[int, ...]] = []  # per level: the node slots of its lookup's key
     params: dict[int, list[str]] = {}  # per chained level: the locals its function takes
     for i, j in enumerate(order):
         if i and i % _DEPTH == 0:
@@ -413,6 +428,8 @@ def _plan_source(
             body += [f"{inner}if {' or '.join(checks)}:", f"{inner}    continue"]
         body += [f"{inner}pass"] * (len(body) == mark and mode == "unordered")
         lens.append(None if tests or checks else f"len({source})")
+        sources.append(source)
+        reads.append(look[1] if look is not None else ())
         loops.append(body)
         after = []
         if total:  # the entry index so far: the earliest first snapshot
@@ -440,44 +457,75 @@ def _plan_source(
     else:
         final = []
     last = len(order) - 1
+    per = "len(fills)" if isolated else "1"  # a total matching's count
+    masks = [sum(1 << k for k in order[: i + 1]) for i in range(len(order))]
+    memos: list[int] = []  # the levels whose dead prefixes' counts are memoized
 
     def nest(i: int, start: int, count: bool) -> list[str]:
         """The lines of levels ``i`` on, up to the end of the function whose
-        first level is ``start``; a ``count`` only counts the leaves."""
+        first level is ``start``; a ``count`` only counts what they would file."""
         if i > last:
-            return [f"pruned += {'len(fills)' if isolated else 1}"] if count else final
+            return ([f"pruned += {per}"] if total else []) if count else final
         if i != start and i % _DEPTH == 0:
             args = params[i] + ([] if count else [f"i{i - 1}" if total else "src"])
             call = f"_{'count' if count else 'plan'}{i // _DEPTH}({_HEAD}, {', '.join(args)})"
             return [f"pruned += {call}" if prune else call]
         if count and i == last and lens[i] is not None:
             return [f"pruned += {lens[i]}" + " * len(fills)" * bool(isolated)]
-        inner = [] if count else list(afters[i])
-        if prune and not count and i < last:
-            bits = _bits(order[: i + 1], "e{} in S")
-            inner += [f"S = snapshots[i{i}][1]", f"if not live{i}[i{i}, {bits}]:"]
-            inner += [f"    {line}" for line in nest(i + 1, start, True)] + ["    continue"]
+        if count:  # "ordered" files every level's extension, "total" only the leaf
+            inner = [] if total else [f"pruned += {per if i == last else 1}"]
+        else:
+            inner = afters[i] + (dead(i, start) if prune and i < last else [])
         return loops[i] + [f"    {line}" for line in inner + nest(i + 1, start, count)]
+
+    def dead(i: int, start: int) -> list[str]:
+        """The lines after level ``i`` that count, never walk, the completions
+        of a prefix whose verdict is dead, memoized when they can be."""
+        block = nest(i + 1, start, True)
+        # the completions read the node slots of the later lookups' keys, and
+        # under distinct edges the bound edges; a slot bound before the
+        # function's first level is the same for every prefix of the call
+        mine = {s for s, level in at.items() if start <= level <= i}
+        key = sorted({s for k in range(i + 1, len(order)) for s in reads[k] if s in mine})
+        if not distinct and len(key) < len(mine) and not block[0].startswith("pruned += len("):
+            memos.append(i)
+            arg = f"v{key[0]}" if len(key) == 1 else _tuple(f"v{s}" for s in key)
+            block = [
+                f"m = memo{i}.get({arg})", "if m is None:", "    m = pruned",
+                *(f"    {line}" for line in block),
+                f"    memo{i}[{arg}] = pruned - m", "else:", "    pruned += m",
+            ]
+        if total:
+            bits = _bits(order[: i + 1], "e{} in S")
+            test = [f"S = snapshots[i{i}][1]", f"if not live{i}[i{i}, {bits}]:"]
+            return test + [f"    {line}" for line in block + ["continue"]]
+        # every later extension binds only new edges, so its class is known
+        tail = " and ".join(f"fate[configs, src | {b}].__class__ is int" for b in masks[i + 1:])
+        test = [f"if {sources[i + 1]}:", f"    if dead{i} is None:", f"        dead{i} = {tail}"]
+        return test + [f"    if dead{i}:"] + [f"        {line}" for line in block + ["continue"]]
 
     src = []
     for start in range(0, max(len(order), 1), _DEPTH):
         levels = range(start, min(start + _DEPTH, len(order)))
         pool = [line for i in levels for line in heads[i]]
-        live = [
-            f"live{i} = fate.verdicts({sum(1 << k for k in order[: i + 1])})"
+        body = nest(start, start, False)
+        verdicts = [
+            f"live{i} = fate.verdicts({masks[i]})" if total else f"dead{i} = None"
             for i in levels if prune and i < last
-        ]
+        ] + [f"memo{i} = {{}}" for i in memos if i in levels]
+        if prune and not total and not start:  # the dead tails' count joins a class that dies
+            body += ["if pruned:", f"    k = (configs, src | {masks[last]})", "    fate[k] += pruned"]
         args = params.get(start, [])
         c = start // _DEPTH
         funcs = [(f"_plan{c}", args + [f"i{start - 1}" if total else "src"] * bool(start),
-                  (unpack if start else head) + pool + live, nest(start, start, False))]
+                  (unpack if start else head) + pool + verdicts, body)]
         if prune and start:
             funcs.append((f"_count{c}", args, ["pruned = 0", *pool], nest(start, start, True)))
-        for name, fparams, fhead, body in funcs:
-            text = "\n".join(fhead + body)
+        for name, fparams, fhead, fbody in funcs:
+            text = "\n".join(fhead + fbody)
             context = [f"    {x} = {value}" for x, value in _CONTEXT.items() if x in text]
             src += [f"def {name}({', '.join([_HEAD, *fparams])}):", *context]
-            src += [f"    {line}" for line in fhead + body + ["return pruned"] * prune]
+            src += [f"    {line}" for line in fhead + fbody + ["return pruned"] * prune]
     return "\n".join(src) + "\n"
 
 
@@ -613,10 +661,28 @@ def delta_match(
     Each matching is thus found once, at its first variable bound to a new
     edge; output comes in search order, anchor by anchor, each reading the
     new edges in graph order.  ``old_history`` is read in place when it is
-    a set or a dict; an unknown new edge raises ``ReferentialError``.
+    a set or a dict; an unknown edge, old or new, raises ``ReferentialError``.
     ``entry`` fuses the search as for ``match_total``.
     """
     old = old_history if isinstance(old_history, (set, frozenset, dict)) else set(old_history)
+    unknown = set(old).difference(g.edges)
+    if unknown:
+        raise ReferentialError(f"unknown edge {min(unknown)!r} in old_history")
+    return _delta_match(g, p, old, new_edges, distinct_edges=distinct_edges, entry=entry)
+
+
+def _delta_match(
+    g: TemporalGraph,
+    p: Bgp,
+    old: Collection[str],
+    new_edges: Iterable[str],
+    *,
+    distinct_edges: bool = False,
+    entry=None,
+):
+    """``delta_match`` on an ``old`` history, a set or a dict read in place,
+    that holds only edges of ``g``: the engine's, whose edges were checked
+    as they arrived, is not read again on every call."""
     new = set(new_edges)
     scan = _graph_order(g, new)
     if any(e in old for e in new):
@@ -691,7 +757,10 @@ def extend(
     with both endpoints unbound draw from the new edges in graph order.
     With ``entry = (snap, fate)``, ``states_matchings`` maps configuration
     sets to their rows, and extensions are filed by class in ``fate``
-    (``_plan_source``), which is returned instead of the pairs.
+    (``_plan_source``), which is returned instead of the pairs.  A fate
+    whose ``pruned`` is an int, not None, runs the ordered pruning plans:
+    a tail whose every class is an int, dying on its first move, is
+    counted into one of them, never filed.
     """
     scan = _graph_order(g, set(new_edges))
     index = endpoint_index((e, g.edges[e]) for e in scan)
@@ -717,6 +786,8 @@ def extend(
     if public:  # one class per row's extensions: no snapshot, no configurations
         entry = (frozenset(), defaultdict(lambda: out))
         states_matchings = {None: states_matchings}
+    # under an order, an engine's fate lets the plans count the tails that die
+    prune = gate is not None and getattr(entry[-1], "pruned", None) is not None
     for configs, rows in states_matchings.items():
         held = (configs, *entry)
         for mu in rows:
@@ -744,7 +815,7 @@ def extend(
                     continue  # mu itself is not a prefix; nothing to generate
             plan = plans.get(key)
             if plan is None:
-                plan = plans[key] = _plan(slots, n, tuple(todo), False, distinct_edges, mode)
+                plan = plans[key] = _plan(slots, n, tuple(todo), False, distinct_edges, mode, prune)
             plan(g, index, None, scan, consts, mu, fills, held)
             if public:
                 pairs += zip(repeat(mu), out)

@@ -24,12 +24,15 @@ end-of-stream acceptance; the engines differ only in how rows enter:
 A new row's first step is taken inside the matcher's search, which looks
 its class up in a ``_Fate`` table the core fills; a class dying there is
 counted on entry, never built, and a total row it accepts is accepted there.
-Baseline's and on-demand's searches go further: before growing a prefix
-they ask the fate whether any completion can survive its first move,
-reading the initial state's transitions, guards ignored, against what the
-prefix fixes of the entry letter (``_Verdicts``), and only count the
-completions of a dead prefix.  This needs each edge's exact first snapshot
-index, which both pass.
+The untraced searches go further.  Before growing a prefix, baseline's
+and on-demand's ask the fate whether any completion can survive its first
+move, reading the initial state's transitions, guards ignored, against
+what the prefix fixes of the entry letter (``_Verdicts``), and only count
+the completions of a dead prefix, once per value of the nodes the count
+reads.  This needs each edge's exact first snapshot index, which both
+pass.  Partial's, under an order, know each deeper extension's class
+before the search, since every edge they bind is new, and count a tail
+whose every class dies on its first move into one of those classes.
 Every other new row joins the table holding the configurations it had
 before that letter, and the tick of its entry snapshot steps it with the
 live rows.  Rows are dropped once their configurations empty
@@ -75,7 +78,9 @@ from typing import Iterable, Iterator, Sequence
 from .bgp import (
     Bgp,
     Matching,
-    delta_match,
+    # on-demand's history holds only edges ``_snapshots`` checked, so it
+    # calls the join without the public check of every old edge
+    _delta_match as delta_match,
     empty_matching,
     extend,
     match_total,
@@ -110,7 +115,8 @@ class Counters:
     rows at a time (its size times its configurations);
     ``generated`` counts the matchings found, including those never built:
     those of a class dying on its first move and those the join counted in
-    the subtrees it pruned (for partial, the rows ``extend`` added),
+    the subtrees it pruned, never enumerated where their count was already
+    known (for partial, the rows ``extend`` added, its counted tails too),
     ``early_rejected`` the
     rows dropped before the end of the stream or refused on entry, and
     ``warnings`` the orders run unordered because they could not be
@@ -223,12 +229,15 @@ class _Fate(dict):
     settles on entry; the tick takes it again for the rows that join the
     table.
 
-    A fate of baseline or on-demand rows also prunes the join, unless the
-    initial state decides or the run is traced (every row is then built):
-    ``verdicts`` gives each plan level its ``_Verdicts`` table, and
-    ``pruned`` adds up the matchings counted in dead subtrees, which
-    ``_Core.enter`` books as a class that dies on its first move.  Else
-    ``pruned`` is None and the join files every matching.
+    A fate also prunes the join, unless the initial state decides or the
+    run is traced (every row is then built): ``pruned`` is then an int,
+    not None.  For baseline or on-demand rows ``verdicts`` gives each plan
+    level its ``_Verdicts`` table, and ``pruned`` adds up the matchings
+    counted in dead subtrees, which ``_Core.enter`` books as a class that
+    dies on its first move.  For partial rows under an order, a tail whose
+    every class is an int is counted into one of those classes, which
+    ``enter`` books alike, so ``pruned`` stays 0.  Else the join files
+    every matching.
     """
 
     def __init__(self, core: _Core, snapshots=None, t: float | None = None):
@@ -241,8 +250,7 @@ class _Fate(dict):
             ta.initial in ta.early_accept or ta.initial in ta.early_reject
         )
         # the matchings the join counted in pruned subtrees; None: it files them all
-        pruning = snapshots is not None and not self.decides and core.trace is None
-        self.pruned = 0 if pruning else None
+        self.pruned = 0 if not self.decides and core.trace is None else None
 
     def verdicts(self, mask: int) -> _Verdicts:
         """The run's verdicts on the prefixes binding the edge variables of

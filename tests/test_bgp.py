@@ -18,7 +18,7 @@ from tempo_bgp import (
     parse_bgp,
 )
 from tempo_bgp.rng import SplitMix64
-from tempo_bgp.workbench import random_graph, shape_bgp
+from tempo_bgp.workbench import GenSpec, generate_graph, random_graph, shape_bgp
 from test_matcher_binder import restricted
 
 
@@ -134,6 +134,15 @@ class TestDeltaMatch:
             delta_match(interactions, bgp["cycle2"], set(), {"nope"})
         with pytest.raises(ReferentialError, match="'nope'"):
             delta_match(interactions, bgp["cycle2"], set(), {"e5", "nope"})
+
+    def test_unknown_old_edge_is_refused(self):
+        g = generate_graph(GenSpec(8, 0.5, 0.5, 4, seed=1))
+        p, edges = shape_bgp("path2"), list(g.edges)
+        assert len(delta_match(g, p, edges[:5], edges[5:8])) == 2
+        old = edges[:5] + ["nope"]
+        for history in (old, set(old), dict.fromkeys(old, 0)):
+            with pytest.raises(ReferentialError, match="'nope'"):
+                delta_match(g, p, history, edges[5:8])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_telescopes_over_history(self, seed, bgp):

@@ -1,27 +1,37 @@
-"""The total join's prefix pruning, checked by the work it saves and against traced runs.
+"""The joins' pruning, checked by the work it saves and against traced runs.
 
 Under an engine's fate, the baseline and on-demand joins ask after every
 level but the last whether some completion of the prefix can survive its
-first move; the completions of a dead prefix are only counted.  A traced
-run never prunes, so an untraced run must count exactly what the traced
-one does, and both must accept what the oracle accepts.  Each case below
-also checks that something was pruned, so the count-only code ran.
+first move; the completions of a dead prefix are only counted, once per
+value of the node slots the count reads where those leave a bound slot
+out.  Partial's ordered extension likewise counts the tail below a level
+when every deeper class dies on its first move.  A traced run never
+prunes, so an untraced run must count exactly what the traced one does,
+and both must accept what the oracle accepts.  Each case below also
+checks that something was pruned, so the count-only code ran.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import dataclasses
+from collections import defaultdict
+from itertools import permutations, product
 
 import pytest
 
 import tempo_bgp.engine as engine_module
 from tempo_bgp import (
+    OrderIncompatible,
+    OrderNotConnected,
     Trace,
     build_graph,
+    empty_matching,
+    extend,
     oracle_accepted_matchings,
     parse_bgp,
     run_baseline,
     run_on_demand,
+    run_partial_match,
 )
 from tempo_bgp.bgp import _anchored_order, _plan_source, _slot_table
 from tempo_bgp.rng import SplitMix64
@@ -62,6 +72,59 @@ def test_the_dense_cycle4_join_files_few_of_its_matchings(fates):
         traced = run(g, p, ta, trace=Trace())
         assert vars(traced.counters) == vars(plain.counters)
         assert traced.accepted == plain.accepted
+
+
+def test_the_dense_cycle4_counts_read_each_frontier_key_once(fates, monkeypatch):
+    # baseline binds y1..y4 in order; after a dead level-1 prefix the count
+    # reads only (v2, v0), the by_src lookup of v2 and the closing by_pair
+    # lookups on v0, so it runs once per distinct key.  A traced run walks
+    # every prefix, so the by_pair probes it makes beyond the untraced run's
+    # are those of the dead level-1 prefixes whose key was already counted.
+    g = generate_graph(GenSpec(26, 0.5, 0.5, 25, seed=42))
+    p, ta = shape_bgp("cycle4"), ring_automaton(4)
+    probes = [0]
+
+    class Probed(dict):
+        def get(self, key, default=None):
+            probes[0] += 1
+            return super().get(key, default)
+
+    g = dataclasses.replace(g, by_pair=Probed(g.by_pair))
+    entries = []
+    make = engine_module._Core.entry
+    monkeypatch.setattr(
+        engine_module._Core, "entry", lambda core, *args: entries.append(make(core, *args)) or entries[-1]
+    )
+    plain = run_baseline(g, p, ta)
+    counted, probes[0] = probes[0], 0
+    traced = run_baseline(g, p, ta, trace=Trace())
+    assert vars(plain.counters) == vars(traced.counters) == {
+        "rows": 27478, "generated": 25888, "early_rejected": 25888, "warnings": 0
+    }
+    first, d, snapshots, fate = entries[0]
+    live0, live1 = fate.core.verdicts[1], fate.core.verdicts[3]
+    dead = []  # the key of each level-1 prefix that is dead, its level-0 prefix live
+    for e0, edge in g.edges.items():
+        v0, v1 = edge.src, edge.dst
+        i0 = first.get(e0, d)
+        if v1 not in g.by_src or not live0[i0, e0 in snapshots[i0][1]]:
+            continue
+        for e1, v2 in g.by_src[v1]:
+            i1 = min(i0, first.get(e1, d))
+            S = snapshots[i1][1]
+            if v2 in g.by_src and not live1[i1, (e0 in S) | (e1 in S) << 1]:
+                dead.append((v2, v0))
+    keys = set(dead)
+    assert 0 < 4 * len(keys) < len(dead)
+    walked = sum(len(g.by_src[v2]) for v2, _ in dead)
+    assert probes[0] - counted == walked - sum(len(g.by_src[v2]) for v2, _ in keys)
+    # ordered partial asks the fate for few of the 17,389 extensions' classes
+    fates.clear()
+    partial = run_partial_match(g, p, ta, order=("y1", "y2", "y3", "y4"))
+    assert vars(partial.counters) == {
+        "rows": 18702, "generated": 17389, "early_rejected": 17389, "warnings": 0
+    }
+    assert sum(fate.filed for fate in fates) <= 4000
 
 
 def _graph(seed: int):
@@ -155,6 +218,80 @@ def test_pruned_runs_count_what_traced_runs_count(fates, case, clocked):
             got = [m for m, _ in plain.accepted]
             assert got == (want if run is run_baseline else streamed), where
     assert pruned > 0
+
+
+# patterns of width 2 and 3: constants, an isolated node variable, labels
+# and a closing self-loop, with every order of their edge variables
+PARTIAL = [CASES[case][0] for case in sorted(CASES)] + [
+    "const v0\nnode x1\nnode w\nedge y1 : v0 -> x1\nedge y2 : x1 -> x1\n",
+]
+
+
+@pytest.mark.parametrize("clocked", [False, True], ids=["clockless", "clocked"])
+def test_ordered_partial_runs_count_what_traced_runs_count(fates, clocked):
+    tails = 0
+    for text, seed, distinct in product(PARTIAL, range(25), (False, True)):
+        p, g = parse_bgp(text), _graph(seed)
+        ta = _automaton(seed, p.width, clocked)
+        want = oracle_accepted_matchings(g, p, ta, distinct_edges=distinct)
+        streamed = sorted(m for m in want if all(g.active[e] for e in m.edges))
+        for order, early_exit in product(permutations(p.edge_vars), (True, False)):
+            kw = dict(order=order, early_exit=early_exit, distinct_edges=distinct)
+            where = (text, seed, distinct, order, early_exit)
+            fates.clear()
+            try:
+                plain = run_partial_match(g, p, ta, **kw)
+            except (OrderIncompatible, OrderNotConnected):
+                continue
+            filed = sum(fate.filed for fate in fates)
+            fates.clear()
+            traced = run_partial_match(g, p, ta, trace=Trace(), **kw)
+            assert all(fate.pruned is None for fate in fates), where
+            # a traced run files every extension, one fate lookup each; a
+            # counted tail files none
+            tails += filed < sum(fate.filed for fate in fates)
+            assert vars(traced.counters) == vars(plain.counters), where
+            assert traced.accepted == plain.accepted, where
+            assert [m for m, _ in plain.accepted] == streamed, where
+    assert tails > 0
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["homomorphic", "distinct"])
+def test_an_ordered_extension_files_what_the_public_one_returns(distinct):
+    # an engine's fate gets, per class, the extensions public extend returns
+    # with that letter, in its order; a class dying on its first move gets
+    # their count, and the tails the plan counted go to one such class
+    tails = 0
+    for text, seed in product(PARTIAL, range(25)):
+        p, g = parse_bgp(text), _graph(seed)
+        ta = _automaton(seed, p.width, False)
+        for order in permutations(p.edge_vars):
+            rows, history = [empty_matching(p)], set()
+            core = engine_module._Core(ta, True, None)
+            for t in g.domain:
+                snap = g.snapshots[t]
+                new = snap - history
+                history |= new
+                if not new:
+                    continue
+                pairs = extend(g, p, rows, new, order=order, distinct_edges=distinct)
+                fate = engine_module._Fate(core, t=t)
+                filed = extend(g, p, {core.seed: rows}, new, order=order,
+                               distinct_edges=distinct, entry=(snap, fate))
+                by_letter = defaultdict(list)
+                for _, m in pairs:
+                    by_letter[sum(1 << j for j, e in enumerate(m.edges) if e in snap)].append(m)
+                dying = 0
+                for (_, letter), got in filed.items():
+                    if got.__class__ is int:
+                        dying += got
+                        tails += got > len(by_letter[letter])
+                    else:
+                        assert got == by_letter[letter], (text, seed, order, t)
+                lists = {letter for (_, letter), got in filed.items() if got.__class__ is list}
+                assert dying == sum(len(ms) for x, ms in by_letter.items() if x not in lists)
+                rows += [m for _, m in pairs]
+    assert tails > 0
 
 
 def _path(width: int):

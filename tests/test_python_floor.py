@@ -68,16 +68,21 @@ def _searches(p, mode):
 
 @pytest.mark.parametrize("mode", ["total", "anchored delta", "ordered", "unordered"])
 def test_every_generated_plan_parses_at_the_floor(mode):
-    chained = 0
+    chained = counted = memoized = 0
     for name, text in PATTERNS.items():
         p = parse_bgp(text)
         slots, n = _slot_table(p), len(p.node_vars)
         for order, pooled, kind in _searches(p, mode):
-            # the engines' total searches also come in a pruning version
-            for distinct, prune in product((False, True), {False, kind == "total"}):
+            # the engines' total and ordered searches also come in a pruning version
+            for distinct, prune in product((False, True), {False, kind != "unordered"}):
                 key = (tuple(order), pooled, distinct, kind, prune)
                 src = _plan_source(slots, n, *key)
                 ast.parse(src, filename=f"<plan {name}>", feature_version=floor())
                 compile(src, f"<plan {name}>", "exec")
                 chained += "def _plan1(" in src
+                counted += "def _count1(" in src
+                memoized += "memo1 = {}" in src
     assert chained > 0  # the width-24 chain's searches continue in a second function
+    if mode != "unordered":
+        assert counted > 0  # and so do its pruning searches' counts
+        assert memoized > 0  # a cycle's dead prefixes share counts by their frontier
